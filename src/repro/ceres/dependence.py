@@ -107,7 +107,7 @@ class DependenceReport:
     focus_loop_label: str
     warnings: List[DependenceWarning] = field(default_factory=list)
     recursion_warnings: List[RecursionWarning] = field(default_factory=list)
-    patterns: Dict[str, AccessPattern] = field(default_factory=dict)
+    patterns: Dict[Tuple[str, Any], AccessPattern] = field(default_factory=dict)
     iterations_observed: int = 0
 
     def problematic_names(self) -> List[str]:
@@ -121,7 +121,32 @@ class DependenceReport:
 
 
 class DependenceAnalyzer(Tracer):
-    """Dependence-analysis tracer (JS-CERES mode 3)."""
+    """Dependence-analysis tracer (JS-CERES mode 3).
+
+    Every variable and property access reaches this tracer, so the
+    per-event path is kept cheap:
+
+    * **O(1) out-of-focus path.** ``_focus_open`` counts the open instances
+      of the focus loop (of *any* loop when unfocused), maintained by
+      :meth:`on_loop_enter` and :meth:`on_loop_exit` from the entry
+      :meth:`LoopStack.pop_loop` actually removed.  An access is analysed
+      only while it is non-zero, so the many accesses outside the focus
+      loop cost one attribute test instead of a stack scan.
+    * **Per-stack-state memos.** The stamp diff (triples plus the
+      problematic verdict), the current snapshot and the focus iteration
+      depend only on the loop stack (and the stamp), and the stack only
+      changes on loop events.  They are cached until the next push,
+      iteration or pop, which clears all of them.  Diffs are keyed by
+      ``id(stamp)``; the cache entry holds the stamp itself, so a stamp
+      replaced (and otherwise freed) within one stack state cannot hand
+      its id to a different stamp while the entry lives.
+    * Creation-site labels are memoised per site, warning records are
+      built only for new keys, and pattern keys are tuples.
+
+    The memos are per analyzer, so analyzers sharing one replay pass (and
+    the stand-in objects whose creation stamps they all write) never see
+    each other's cached state.
+    """
 
     #: Mode 3 watches loops, creation sites, environments and every variable
     #: and property access — the paper's "very high overhead" configuration.
@@ -147,7 +172,7 @@ class DependenceAnalyzer(Tracer):
         self.stack = LoopStack()
         self.warnings: Dict[Tuple, DependenceWarning] = {}
         self.recursion_loop_ids: Set[int] = set()
-        self.patterns: Dict[str, AccessPattern] = {}
+        self.patterns: Dict[Tuple[str, Any], AccessPattern] = {}
         self.iterations_observed = 0
         #: (id(object), property) -> stack snapshot of the last write
         self._last_write_stamp: Dict[Tuple[int, str], Stamp] = {}
@@ -165,6 +190,15 @@ class DependenceAnalyzer(Tracer):
         #: process's allocation history.  Retention keeps ids unambiguous
         #: (and results deterministic) for the analyzer's lifetime.
         self._retained: List[Any] = []
+        #: Open instances of the focus loop (of every loop when unfocused).
+        self._focus_open = 0
+        #: creation site -> registry label (only sites the registry knows)
+        self._site_labels: Dict[int, str] = {}
+        # Per-stack-state memos, cleared by _stack_changed().
+        #: id(stamp) -> (stamp, triples, is_problematic)
+        self._diffs: Dict[int, Tuple[Stamp, Tuple[CharTriple, ...], bool]] = {}
+        self._snapshot: Optional[Stamp] = None
+        self._focus_iter: Optional[int] = None
 
     # ------------------------------------------------------------------ labels
     def _label(self, loop_id: int) -> str:
@@ -173,30 +207,51 @@ class DependenceAnalyzer(Tracer):
         return f"loop#{loop_id}"
 
     def _creation_label(self, obj: Any) -> str:
-        if isinstance(obj, JSObject) and obj.creation_site >= 0 and self.registry is not None:
+        if not isinstance(obj, JSObject):
+            return ""
+        site = obj.creation_site
+        label = self._site_labels.get(site)
+        if label is not None:
+            return label
+        if site >= 0 and self.registry is not None:
             for index in self.registry.indexes.values():
-                site = index.creation_sites.get(obj.creation_site)
-                if site is not None:
-                    return site.label
+                creation = index.creation_sites.get(site)
+                if creation is not None:
+                    # Registries only append indexes, so the first index
+                    # holding this site stays the first: the label is final.
+                    self._site_labels[site] = creation.label
+                    return creation.label
         if isinstance(obj, JSArray):
             return "array"
-        if isinstance(obj, JSObject):
-            return obj.class_name.lower()
-        return ""
+        return obj.class_name.lower()
 
     # -------------------------------------------------------------- loop hooks
+    def _stack_changed(self) -> None:
+        self._diffs.clear()
+        self._snapshot = None
+        self._focus_iter = None
+
     def on_loop_enter(self, interp, node) -> None:
-        self.stack.push_loop(node.node_id)
-        if self.stack.recursion_warnings and node.node_id in self.stack.recursion_warnings:
-            self.recursion_loop_ids.add(node.node_id)
+        loop_id = node.node_id
+        self.stack.push_loop(loop_id)
+        self._stack_changed()
+        if self._in_focus(loop_id):
+            self._focus_open += 1
+        if self.stack.recursion_warnings and loop_id in self.stack.recursion_warnings:
+            self.recursion_loop_ids.add(loop_id)
 
     def on_loop_iteration(self, interp, node, iteration) -> None:
         self.stack.next_iteration(node.node_id)
+        self._stack_changed()
         if self._in_focus(node.node_id):
             self.iterations_observed += 1
 
     def on_loop_exit(self, interp, node, trip_count) -> None:
-        self.stack.pop_loop(node.node_id)
+        loop_id = node.node_id
+        popped = self.stack.pop_loop(loop_id)
+        self._stack_changed()
+        if popped is not None and self._in_focus(loop_id):
+            self._focus_open -= 1
         if not self.incremental:
             return
         if not self.stack.entries:
@@ -209,8 +264,8 @@ class DependenceAnalyzer(Tracer):
             self._env_stamps.clear()
         elif (
             self.focus_loop_id is not None
-            and node.node_id == self.focus_loop_id
-            and not self.stack.contains(self.focus_loop_id)
+            and loop_id == self.focus_loop_id
+            and not self._focus_open
         ):
             # Focused analysis: flow detection only ever matches the current
             # focus-loop *instance*, which just closed — stamps from it are
@@ -221,12 +276,12 @@ class DependenceAnalyzer(Tracer):
     # --------------------------------------------------------- creation stamps
     def on_object_created(self, interp, obj, node) -> None:
         if isinstance(obj, JSObject):
-            obj.creation_stamp = self.stack.snapshot()
+            obj.creation_stamp = self._current_snapshot()
             if not self.incremental:
                 self._retained.append(obj)
 
     def on_env_created(self, interp, env, kind) -> None:
-        stamp = self.stack.snapshot()
+        stamp = self._current_snapshot()
         if self.incremental and not stamp:
             # An empty stamp is what lookups default to — don't store it.
             return
@@ -237,33 +292,31 @@ class DependenceAnalyzer(Tracer):
 
     # ------------------------------------------------------------ access hooks
     def on_var_write(self, interp, name, env, value, node) -> None:
-        if not self._analysis_active():
+        if not self._focus_open:
             return
-        stamp = self._env_stamps.get(env, ())
-        triples = diff_stamp(self.stack.entries, stamp)
-        self._record_pattern("variable", name, "", write=True, prop=name)
-        if is_problematic(triples, self._focus_for_check()):
+        _stamp, triples, problematic = self._diff(self._env_stamps.get(env, ()))
+        self._record_pattern("variable", name, "", write=True, prop=name, identity=name)
+        if problematic:
             self._add_warning(WarningKind.VAR_WRITE, name, triples, "", node)
 
     def on_prop_write(self, interp, obj, name, value, node) -> None:
-        if not self._analysis_active() or not isinstance(obj, JSObject):
+        if not self._focus_open or not isinstance(obj, JSObject):
             return
         stamp: Stamp = obj.creation_stamp if obj.creation_stamp is not None else ()
-        triples = diff_stamp(self.stack.entries, stamp)
-        target = self._target_name(obj)
-        self._record_pattern("object", target, self._creation_label(obj), write=True, prop=name, obj=obj)
-        if is_problematic(triples, self._focus_for_check()):
-            self._add_warning(
-                WarningKind.PROP_WRITE, f"{target}.{name}", triples, self._creation_label(obj), node
-            )
+        _stamp, triples, problematic = self._diff(stamp)
+        # An object's creation label doubles as its target name.
+        label = self._creation_label(obj)
+        self._record_pattern("object", label, label, write=True, prop=name, identity=id(obj))
+        if problematic:
+            self._add_warning(WarningKind.PROP_WRITE, f"{label}.{name}", triples, label, node)
         # Remember the stack at this write so future reads can detect flow deps.
-        self._last_write_stamp[(id(obj), name)] = self.stack.snapshot()
+        self._last_write_stamp[(id(obj), name)] = self._current_snapshot()
 
     def on_prop_read(self, interp, obj, name, node) -> None:
-        if not self._analysis_active() or not isinstance(obj, JSObject):
+        if not self._focus_open or not isinstance(obj, JSObject):
             return
-        target = self._target_name(obj)
-        self._record_pattern("object", target, self._creation_label(obj), write=False, prop=name, obj=obj)
+        label = self._creation_label(obj)
+        self._record_pattern("object", label, label, write=False, prop=name, identity=id(obj))
         write_stamp = self._last_write_stamp.get((id(obj), name))
         if write_stamp is None:
             return
@@ -271,13 +324,11 @@ class DependenceAnalyzer(Tracer):
             # Last write happened before the loop (read-only input) or in the
             # current iteration (iteration-private) — no loop-carried flow.
             return
-        triples = diff_stamp(self.stack.entries, write_stamp)
-        pattern = self.patterns.get(self._pattern_key("object", target, obj))
+        _stamp, triples, _problematic = self._diff(write_stamp)
+        pattern = self.patterns.get(("object", id(obj)))
         if pattern is not None:
             pattern.flow_dependences += 1
-        self._add_warning(
-            WarningKind.FLOW_READ, f"{target}.{name}", triples, self._creation_label(obj), node
-        )
+        self._add_warning(WarningKind.FLOW_READ, f"{label}.{name}", triples, label, node)
 
     def _is_cross_iteration_write(self, write_stamp: Stamp) -> bool:
         """True when the last write happened in the *same instance* of the
@@ -297,41 +348,39 @@ class DependenceAnalyzer(Tracer):
         return False
 
     # ----------------------------------------------------------------- helpers
-    def _analysis_active(self) -> bool:
-        """Accesses only matter while at least one (focused) loop is open."""
-        if not self.stack.entries:
-            return False
-        if self.focus_loop_id is None:
-            return True
-        return self.stack.contains(self.focus_loop_id)
-
     def _in_focus(self, loop_id: int) -> bool:
         return self.focus_loop_id is None or loop_id == self.focus_loop_id
 
-    def _focus_for_check(self) -> Optional[int]:
-        return self.focus_loop_id
+    def _current_snapshot(self) -> Stamp:
+        """:meth:`LoopStack.snapshot`, shared until the stack next changes."""
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = self.stack.snapshot()
+        return snapshot
+
+    def _diff(self, stamp: Stamp) -> Tuple[Stamp, Tuple[CharTriple, ...], bool]:
+        """``(stamp, diff_stamp(stack, stamp), is_problematic)``, memoised."""
+        cached = self._diffs.get(id(stamp))
+        if cached is None:
+            triples = tuple(diff_stamp(self.stack.entries, stamp))
+            cached = (stamp, triples, is_problematic(triples, self.focus_loop_id))
+            self._diffs[id(stamp)] = cached
+        return cached
 
     def _focus_iteration(self) -> int:
         """Current iteration number of the focus loop (or of the innermost loop)."""
-        if self.focus_loop_id is not None:
-            for entry in self.stack.entries:
-                if entry.loop_id == self.focus_loop_id:
-                    return entry.iteration
-            return -1
-        innermost = self.stack.innermost()
-        return innermost.iteration if innermost is not None else -1
-
-    def _target_name(self, obj: JSObject) -> str:
-        label = self._creation_label(obj)
-        return label if label else obj.class_name.lower()
-
-    def _pattern_key(self, kind: str, name: str, obj: Optional[JSObject] = None) -> str:
-        # Object patterns are tracked per runtime object (distinct objects
-        # allocated at the same site have independent footprints); variables
-        # are tracked per name.
-        if obj is not None:
-            return f"{kind}:{id(obj)}"
-        return f"{kind}:{name}"
+        iteration = self._focus_iter
+        if iteration is None:
+            iteration = -1
+            if self.focus_loop_id is not None:
+                for entry in self.stack.entries:
+                    if entry.loop_id == self.focus_loop_id:
+                        iteration = entry.iteration
+                        break
+            elif self.stack.entries:
+                iteration = self.stack.entries[-1].iteration
+            self._focus_iter = iteration
+        return iteration
 
     def _record_pattern(
         self,
@@ -340,12 +389,15 @@ class DependenceAnalyzer(Tracer):
         creation_label: str,
         write: bool,
         prop: str,
-        obj: Optional[JSObject] = None,
+        identity: Any,
     ) -> None:
+        # Object patterns are tracked per runtime object (``identity`` is its
+        # id: distinct objects allocated at the same site have independent
+        # footprints); variables are tracked per name.
         iteration = self._focus_iteration()
         if iteration < 0:
             return
-        key = self._pattern_key(kind, name, obj)
+        key = (kind, identity)
         pattern = self.patterns.get(key)
         if pattern is None:
             pattern = AccessPattern(name=name, target_kind=kind, creation_site_label=creation_label)
@@ -359,21 +411,21 @@ class DependenceAnalyzer(Tracer):
         self,
         kind: WarningKind,
         name: str,
-        triples: List[CharTriple],
+        triples: Tuple[CharTriple, ...],
         creation_label: str,
         node,
     ) -> None:
-        warning = DependenceWarning(
-            kind=kind,
-            name=name,
-            triples=tuple(triples),
-            focus_loop_id=self.focus_loop_id,
-            creation_site_label=creation_label,
-            first_line=getattr(node, "line", 0),
-        )
-        existing = self.warnings.get(warning.key())
+        existing = self.warnings.get((kind, name, triples))
         if existing is None:
-            warning.sample_iterations.append(self._focus_iteration())
+            warning = DependenceWarning(
+                kind=kind,
+                name=name,
+                triples=triples,
+                focus_loop_id=self.focus_loop_id,
+                creation_site_label=creation_label,
+                first_line=getattr(node, "line", 0),
+                sample_iterations=[self._focus_iteration()],
+            )
             self.warnings[warning.key()] = warning
         else:
             existing.occurrences += 1

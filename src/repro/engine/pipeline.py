@@ -46,6 +46,7 @@ from .workerpool import (
     analyze_task,
     pool_env_enabled,
     record_task,
+    reset_worker_signals,
 )
 
 logger = logging.getLogger(__name__)
@@ -450,12 +451,14 @@ class AnalysisPipeline:
             payloads.append((workload.name, self._runner_kwargs, trace, bytecode))
         try:
             context = multiprocessing.get_context("fork")
-            pool = context.Pool(processes=workers)
+            pool = context.Pool(processes=workers, initializer=reset_worker_signals)
         except (ImportError, OSError, ValueError):
             return None
         with pool:
             try:
-                outcomes = pool.map(_analyze_in_worker, payloads)
+                # One app per task: per-app times differ widely, and the default
+                # chunking pairs neighbours, which unbalances the workers.
+                outcomes = pool.map(_analyze_in_worker, payloads, chunksize=1)
             except pickle.PicklingError:
                 # Results or payloads did not survive the process boundary.
                 # The workers may already have recorded traces — those died

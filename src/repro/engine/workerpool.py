@@ -255,9 +255,22 @@ def _apply_env(env: Dict[str, str]) -> None:
     os.environ.update(env)
 
 
+def reset_worker_signals() -> None:
+    """Leave interrupts to the parent in a forked worker.
+
+    Ctrl-C reaches the whole process group, so workers ignore SIGINT and
+    the parent decides what to do.  SIGTERM goes back to the default
+    action: a fork inherits the CLI's handler, which raises
+    ``KeyboardInterrupt``, and a worker the parent terminates would print
+    that traceback instead of exiting quietly.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _worker_main(conn, parent_end, stale_conns) -> None:
     """Persistent worker loop: recv task → run → send result, until shutdown."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reset_worker_signals()
     parent_end.close()
     for stale in stale_conns:
         try:
@@ -296,7 +309,7 @@ def _worker_main(conn, parent_end, stale_conns) -> None:
 
 def _inherited_main(thunk, conn) -> None:
     """Transient child for :meth:`WorkerPool.run_inherited` (fork-inherited)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reset_worker_signals()
     try:
         value = thunk()
     except Exception as exc:  # noqa: BLE001 - shipped to the parent intact

@@ -1,5 +1,10 @@
 """Tests for the analysis engine: AST cache, stage schedule, and fan-out."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine import (
@@ -49,12 +54,26 @@ def _make_tiny_workload(name):
     )
 
 
+def _register_tiny(names, passes=None):
+    """Register synthetic workloads; ``passes`` scales each one's work."""
+    for position, name in enumerate(names):
+        source = TINY_SOURCE
+        if passes is not None:
+            source = source.replace("pass < 3", f"pass < {passes[position]}")
+
+        def factory(name=name, source=source):
+            workload = _make_tiny_workload(name)
+            workload.scripts = [("tiny.js", source)]
+            return workload
+
+        REGISTRY.register(name, factory)
+
+
 @pytest.fixture
 def tiny_workloads():
     """Two registered synthetic workloads (registry restored afterwards)."""
     names = ["engine-test-a", "engine-test-b"]
-    for name in names:
-        REGISTRY.register(name, (lambda n: (lambda: _make_tiny_workload(n)))(name))
+    _register_tiny(names)
     try:
         yield [get_workload(name) for name in names]
     finally:
@@ -222,3 +241,64 @@ class TestAnalysisPipeline:
         assert session.case_study(["engine-test-a"]) is result
         # Clean up the shared pipeline's cache entry for the synthetic name.
         get_default_pipeline().invalidate()
+
+
+# Runs a width-2 fork fan-out under the CLI's SIGTERM handler.  The pool
+# terminates its workers on exit; one that still ran the inherited handler
+# printed a KeyboardInterrupt traceback when the signal won the race against
+# its shutdown sentinel.  The probe reports the inherited handler
+# deterministically, since the race itself is rare.
+_FAN_OUT_UNDER_CLI_HANDLER = """
+import signal, sys
+import repro.engine.pipeline as pipeline
+from repro.__main__ import _install_sigterm_handler
+from repro.workloads import get_workload
+
+analyze = pipeline._analyze_in_worker
+
+def probed(payload):
+    if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
+        print("fan-out worker kept the CLI SIGTERM handler", file=sys.stderr)
+    return analyze(payload)
+
+pipeline._analyze_in_worker = probed
+_install_sigterm_handler()
+workloads = [get_workload("MyScript"), get_workload("Ace")]
+for _ in range(3):
+    analyses = pipeline.AnalysisPipeline(workers=2, use_pool=False).analyze_many(workloads)
+    assert [a.name for a in analyses] == ["MyScript", "Ace"]
+"""
+
+
+class TestFanOutWorkers:
+    def test_fan_out_under_cli_sigterm_handler_writes_no_stderr(self):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", _FAN_OUT_UNDER_CLI_HANDLER],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+
+    def test_width_two_keeps_input_order_and_serial_results(self):
+        # Uneven per-workload cost, so completion order differs from input
+        # order whatever the chunking: results must still come back in order.
+        names = [f"engine-order-{i}" for i in range(5)]
+        _register_tiny(names, passes=[6, 1, 4, 1, 3])
+        try:
+            workloads = [get_workload(name) for name in names]
+            serial = AnalysisPipeline(workers=1).analyze_many(workloads)
+            fanned = AnalysisPipeline(workers=2, use_pool=False).analyze_many(workloads)
+        finally:
+            for name in names:
+                REGISTRY._factories.pop(name, None)
+        assert [a.name for a in fanned] == names
+        assert [a.table2 for a in fanned] == [a.table2 for a in serial]
+        assert [a.speedup for a in fanned] == [a.speedup for a in serial]
+        assert build_tables(fanned).render_table2() == build_tables(serial).render_table2()
+        assert build_tables(fanned).render_table3() == build_tables(serial).render_table3()

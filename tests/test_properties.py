@@ -1,18 +1,21 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import math
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
 from repro.analysis.amdahl import amdahl_speedup, parallel_fraction_needed
-from repro.ceres.loopstack import LoopStack, diff_stamp
+from repro.ceres.dependence import DependenceAnalyzer
+from repro.ceres.loopstack import LoopStack, StackEntry, diff_stamp, is_problematic
 from repro.ceres.welford import OnlineStats
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.lexer import tokenize
 from repro.jsvm.tokens import TokenType
+from repro.jsvm.values import JSObject
 from repro.parallel.partition import assigned_iterations, block_partition, cyclic_partition
 from repro.survey.coding import jaccard
 
@@ -110,6 +113,82 @@ def test_loopstack_depth_never_negative_and_diff_never_invalid(loop_events):
     while stack.entries:
         stack.pop_loop(stack.entries[-1].loop_id)
     assert stack.depth() == 0
+
+
+# --------------------------------------------------------------------------- dependence analyzer
+_LOOP_EVENT = st.tuples(st.sampled_from(["enter", "iterate", "exit"]), st.sampled_from([1, 2, 3]))
+
+
+def _loop_event(analyzer, kind, loop_id):
+    node = SimpleNamespace(node_id=loop_id, line=0)
+    if kind == "enter":
+        analyzer.on_loop_enter(None, node)
+    elif kind == "iterate":
+        analyzer.on_loop_iteration(None, node, 0)
+    else:
+        analyzer.on_loop_exit(None, node, 0)
+
+
+@given(st.lists(_LOOP_EVENT, max_size=40), st.sampled_from([None, 1, 2]), st.booleans())
+@example(
+    [("enter", 1), ("enter", 2), ("enter", 1), ("exit", 1), ("exit", 2), ("exit", 1)], 1, False
+)
+def test_dependence_focus_open_count_tracks_the_stack(events, focus, incremental):
+    """Push/iterate/pop sequences, recursive re-entry and pops of loops that
+    are not open included: the O(1) focus count agrees with a stack scan."""
+    analyzer = DependenceAnalyzer(focus_loop_id=focus, incremental=incremental)
+    for kind, loop_id in events:
+        _loop_event(analyzer, kind, loop_id)
+        entries = analyzer.stack.entries
+        assert analyzer._focus_open == sum(
+            1 for entry in entries if focus is None or entry.loop_id == focus
+        )
+        if focus is not None:
+            assert (analyzer._focus_open > 0) == analyzer.stack.contains(focus)
+
+
+def _shifted(entries, bump):
+    """A fresh stamp: the current stack with every iteration moved by ``bump``."""
+    return tuple([StackEntry(e.loop_id, e.instance, e.iteration + bump) for e in entries])
+
+
+def _assert_memo_matches_uncached(analyzer, stamp, focus):
+    entries = analyzer.stack.entries
+    held, triples, problematic = analyzer._diff(stamp)
+    assert held is stamp
+    assert triples == tuple(diff_stamp(entries, stamp))
+    assert problematic == is_problematic(triples, focus)
+    assert analyzer._current_snapshot() == analyzer.stack.snapshot()
+    if focus is None:
+        iteration = entries[-1].iteration if entries else -1
+    else:
+        iteration = next((e.iteration for e in entries if e.loop_id == focus), -1)
+    assert analyzer._focus_iteration() == iteration
+
+
+@given(st.data(), st.sampled_from([None, 1, 2]))
+@settings(deadline=None)
+def test_dependence_memoised_diff_matches_uncached(data, focus):
+    analyzer = DependenceAnalyzer(focus_loop_id=focus)
+    target = JSObject()
+    stamps = [()]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
+        op = data.draw(st.sampled_from(["loop", "snapshot", "check", "replace"]))
+        if op == "loop":
+            _loop_event(analyzer, *data.draw(_LOOP_EVENT))
+        elif op == "snapshot":
+            stamps.append(analyzer.stack.snapshot())
+        elif op == "check":
+            _assert_memo_matches_uncached(analyzer, data.draw(st.sampled_from(stamps)), focus)
+        else:
+            # Two writes in one stack state, each replacing the target's
+            # stamp: the first stamp is freed unless the memo still holds
+            # it, and CPython readily hands its id to the next tuple.
+            for bump in (0, 1):
+                target.creation_stamp = None
+                target.creation_stamp = _shifted(analyzer.stack.entries, bump)
+                analyzer.on_prop_write(None, target, "x", None, None)
+                _assert_memo_matches_uncached(analyzer, target.creation_stamp, focus)
 
 
 # --------------------------------------------------------------------------- lexer / interpreter

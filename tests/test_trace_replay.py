@@ -303,6 +303,37 @@ class TestReplayBackedSchedule:
         assert recorded is None
 
 
+class TestSharedDependencePass:
+    def test_multi_focus_pass_equals_one_pass_per_nest(self):
+        # CamanJS has five hot nests, so five focused analyzers share one
+        # replay — and the stand-in objects whose creation stamps they all
+        # write.  Each analyzer's memoised state must stay its own: the
+        # shared pass gives the payloads of one single-analyzer pass per nest.
+        runner = CaseStudyRunner(trace_store=TraceStore())
+        workload = get_workload("CamanJS")
+        trace = runner.record_trace(workload)
+        registry, profiler, observer = runner.profile_loops_from_trace(workload, trace)
+        items = [
+            (profile, observer.observations[profile.loop_id], 0.0)
+            for profile in runner.select_hot_nests(profiler, observer)
+        ]
+        assert len(items) == 5
+        shared = runner.analyze_nests_from_trace(workload, trace, registry, items)
+        alone = [
+            runner.analyze_nests_from_trace(workload, trace, registry, [item])[0]
+            for item in items
+        ]
+
+        def payloads(nests):
+            return [
+                AnalysisSession._dependence_payload(nest.dependence, registry)
+                for nest in nests
+            ]
+
+        assert payloads(shared) == payloads(alone)
+        assert [n.parallelization for n in shared] == [n.parallelization for n in alone]
+
+
 class TestSpecTracePolicy:
     def test_record_replay_round_trip_spec_dict(self):
         spec = RunSpec.lightweight().replay()
