@@ -17,10 +17,9 @@ import time
 
 import pytest
 
-from repro.analysis.casestudy import CaseStudyRunner
 from repro.analysis.observer import NestObserver
 from repro.ceres import DependenceAnalyzer, LightweightProfiler, LoopProfiler
-from repro.ceres.proxy import InstrumentationMode
+from repro.ceres.proxy import InstrumentationMode, execute_and_exercise, host_and_intercept
 from repro.workloads import get_workload
 
 WORKLOAD = "Normal Mapping"
@@ -42,10 +41,10 @@ MODES = [
 
 
 def _run_mode(mode, make_tracers):
-    runner = CaseStudyRunner()
     workload = get_workload(WORKLOAD)
     start = time.perf_counter()
-    _proxy, session, _tracers = runner._instrumented_run(workload, mode, make_tracers)
+    proxy, documents = host_and_intercept(workload, mode)
+    session = execute_and_exercise(workload, documents, make_tracers(proxy))
     elapsed = time.perf_counter() - start
     stats = session.interp.stats
     return {

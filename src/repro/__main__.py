@@ -532,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "events per chunk for the streaming file layout (default: "
-            "REPRO_TRACE_CHUNK_EVENTS or 65536; traces that fit in one "
-            "chunk use the legacy single-document format)"
+            "REPRO_TRACE_CHUNK_EVENTS or 65536; with --encoding json, traces "
+            "that fit in one chunk use the legacy single-document format)"
         ),
     )
     p_trace_record.set_defaults(func=_cmd_trace)

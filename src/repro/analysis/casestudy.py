@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..browser.gecko_profiler import GeckoProfiler
-from ..browser.window import BrowserSession
 from ..ceres.dependence import DependenceAnalyzer, DependenceReport
 from ..ceres.ids import IndexRegistry
 from ..ceres.lightweight import LightweightProfiler
 from ..ceres.loop_profiler import LoopProfile, LoopProfiler
-from ..ceres.proxy import InstrumentationMode, InstrumentingProxy, OriginServer
+from ..ceres.proxy import InstrumentationMode, execute_and_exercise, host_and_intercept
 from ..jsvm.hooks import Trace, TraceRecorder, TraceReplayer
 from .amdahl import SpeedupBound
 from .difficulty import (
@@ -170,8 +169,7 @@ class CaseStudyRunner:
 
     The runner implements the individual measurement steps; the stage
     *schedule* (and batching across workloads) is owned by
-    :mod:`repro.engine` — :meth:`analyze_application` and
-    :meth:`analyze_all` delegate there.
+    :mod:`repro.engine` — :meth:`analyze_application` delegates there.
     """
 
     def __init__(
@@ -194,31 +192,6 @@ class CaseStudyRunner:
         #: replay-backed stages record each workload once per mask superset
         #: and replay every analysis from the stored trace.
         self.trace_store = trace_store
-
-    # ------------------------------------------------------------- plumbing
-    def _instrumented_run(self, workload, mode: InstrumentationMode, make_tracers) -> tuple:
-        """Host the workload, instrument it, attach tracers, load and exercise.
-
-        ``make_tracers`` receives the proxy (whose registry maps node ids to
-        loop labels) and returns the tracers to attach, in order.
-        """
-        from ..jsvm.hooks import HookBus
-
-        origin = OriginServer()
-        origin.host_scripts(list(workload.scripts))
-        proxy = InstrumentingProxy(origin, mode=mode, script_cache=self.script_cache)
-        hooks = HookBus()
-        session = BrowserSession(hooks=hooks, title=workload.name)
-        if hasattr(workload, "prepare"):
-            workload.prepare(session)
-        intercepted = [proxy.request(path) for path, _ in workload.scripts]
-        tracers = list(make_tracers(proxy))
-        for tracer in tracers:
-            hooks.attach(tracer)
-        for document in intercepted:
-            session.run_document(document)
-        workload.exercise(session)
-        return proxy, session, tracers
 
     # ---------------------------------------------------------------- tracing
     def record_trace(
@@ -245,25 +218,16 @@ class CaseStudyRunner:
             fingerprint=workload_fingerprint(workload),
             drop_methods=drop_methods,
         )
-        origin = OriginServer()
-        origin.host_scripts(list(workload.scripts))
-        proxy = InstrumentingProxy(
-            origin, mode=InstrumentationMode.DEPENDENCE, script_cache=self.script_cache
+        _proxy, documents = host_and_intercept(
+            workload, InstrumentationMode.DEPENDENCE, script_cache=self.script_cache
         )
-        from ..jsvm.hooks import HookBus
-
-        hooks = HookBus()
-        session = BrowserSession(hooks=hooks, title=workload.name)
-        recorder.ms_per_op = session.clock.ms_per_op
-        if hasattr(workload, "prepare"):
-            workload.prepare(session)
-        intercepted = [proxy.request(path) for path, _ in workload.scripts]
-        hooks.attach(recorder)
-        recorder.mark_start(session.clock)
-        for document in intercepted:
-            session.run_document(document)
-        workload.exercise(session)
-        recorder.mark_end(session.clock)
+        browser = execute_and_exercise(
+            workload,
+            documents,
+            [recorder],
+            on_start=lambda browser: recorder.mark_start(browser.clock),
+        )
+        recorder.mark_end(browser.clock)
         return recorder.trace()
 
     def obtain_trace(self, workload, mask: Optional[int] = None) -> Trace:
@@ -323,36 +287,6 @@ class CaseStudyRunner:
         return registry
 
     # ------------------------------------------------------------------ steps
-    def measure_runtime(self, workload) -> Table2Row:
-        """Step 1: lightweight profiling + sampling profiler (Table 2 row)."""
-        _proxy, session, tracers = self._instrumented_run(
-            workload,
-            InstrumentationMode.LIGHTWEIGHT,
-            lambda proxy: [LightweightProfiler(), GeckoProfiler()],
-        )
-        lightweight, gecko = tracers
-        lightweight.stop(session.clock)
-        result = lightweight.result(session.clock)
-        return Table2Row(
-            name=workload.name,
-            total_seconds=session.clock.now() / 1000.0,
-            active_seconds=gecko.active_seconds(),
-            loops_seconds=result.loops_seconds,
-        )
-
-    def profile_loops(self, workload) -> tuple:
-        """Step 2: loop profiling + nest observation."""
-        proxy, _session, tracers = self._instrumented_run(
-            workload,
-            InstrumentationMode.LOOP_PROFILE,
-            lambda proxy: [
-                LoopProfiler(registry=proxy.registry),
-                NestObserver(registry=proxy.registry),
-            ],
-        )
-        profiler, observer = tracers
-        return proxy, profiler, observer
-
     def select_hot_nests(self, profiler: LoopProfiler, observer: NestObserver) -> List[LoopProfile]:
         """Pick the top-level nests covering ``coverage_target`` of loop time."""
         top_level = [
@@ -372,26 +306,6 @@ class CaseStudyRunner:
             if covered / total >= self.coverage_target or len(selected) >= self.max_nests_per_app:
                 break
         return selected
-
-    def analyze_nest(
-        self,
-        workload,
-        profile: LoopProfile,
-        observation: NestObservation,
-        fraction_of_loop_time: float,
-    ) -> NestAnalysis:
-        """Steps 3-4 for one nest: dependence analysis + interpretation."""
-        _proxy, _session, tracers = self._instrumented_run(
-            workload,
-            InstrumentationMode.DEPENDENCE,
-            lambda proxy: [
-                DependenceAnalyzer(registry=proxy.registry, focus_loop_id=profile.loop_id)
-            ],
-        )
-        (analyzer,) = tracers
-        return self._interpret_nest(
-            analyzer.report(), profile, observation, fraction_of_loop_time
-        )
 
     def _interpret_nest(
         self,
@@ -515,7 +429,7 @@ class CaseStudyRunner:
         profiler: LoopProfiler,
         observation: NestObservation,
         fraction: float,
-        analyze=None,
+        analyze,
     ) -> NestAnalysis:
         """Re-focus on an inner loop when the outer loop is not the parallelizable one.
 
@@ -526,7 +440,8 @@ class CaseStudyRunner:
         when the root loop's dependences are hard to break *and* the root
         barely iterates, we retry the dependence analysis focused on the
         heaviest inner loop with a useful trip count and keep whichever
-        characterization is more favourable.
+        characterization is more favourable.  ``analyze(workload, profile,
+        observation, fraction)`` runs the re-focused dependence analysis.
         """
         root = nest.profile
         # Keep the outer loop when it iterates enough to be the unit of
@@ -542,24 +457,4 @@ class CaseStudyRunner:
         if not candidates:
             return nest
         inner_profile = max(candidates, key=lambda p: p.total_time_ms)
-        if analyze is None:
-            analyze = self.analyze_nest
         return analyze(workload, inner_profile, observation, fraction)
-
-    def analyze_all(self, workloads) -> List[ApplicationAnalysis]:
-        """Analyze a batch of workloads via the engine (fan-out capable).
-
-        Subclassed runners carry behaviour the engine cannot reconstruct in a
-        worker process, so they are passed through as-is (which keeps the
-        batch serial); plain runners let the engine fan out.
-        """
-        from ..engine.pipeline import AnalysisPipeline
-
-        pipeline = AnalysisPipeline(
-            script_cache=self.script_cache,
-            cores=self.cores,
-            coverage_target=self.coverage_target,
-            max_nests_per_app=self.max_nests_per_app,
-        )
-        runner = self if type(self) is not CaseStudyRunner else None
-        return pipeline.analyze_many(workloads, runner=runner)

@@ -31,11 +31,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..browser.gecko_profiler import GeckoProfiler
-from ..browser.window import BrowserSession
 from ..ceres.dependence import DependenceAnalyzer, DependenceReport
 from ..ceres.lightweight import LightweightProfiler
 from ..ceres.loop_profiler import LoopProfiler
-from ..ceres.proxy import InstrumentingProxy, OriginServer
+from ..ceres.proxy import InstrumentingProxy, execute_and_exercise, host_and_intercept
 from ..analysis.casestudy import pipeline_dropped_methods, pipeline_trace_mask
 from ..ceres.report import render_dependence, render_lightweight, render_loop_profiles
 from ..ceres.repository import RemotePublisher, ResultsRepository
@@ -43,7 +42,6 @@ from ..engine.cache import ScriptCache, TraceStore, workload_fingerprint
 from ..engine.pipeline import AnalysisPipeline, PipelineResult
 from ..jsvm.tiers import validate_tier
 from ..jsvm.hooks import (
-    HookBus,
     ReplayClock,
     Trace,
     TraceMismatchError,
@@ -171,41 +169,27 @@ class AnalysisSession:
 
     def _run_live(self, workload: Any, spec: RunSpec) -> RunResult:
         """One live instrumented pass (optionally also recording a trace)."""
-        # Steps 1-2 of Figure 5: host the documents, set up page + proxy.
-        origin = OriginServer()
-        origin.host_scripts(list(workload.scripts))
-        proxy = InstrumentingProxy(
-            origin,
-            mode=spec.instrumentation_mode(),
-            repository=self.repository,
-            publisher=self.publisher,
-            script_cache=self.script_cache,
-        )
-        hooks = HookBus()
-        tier = spec.tier if spec.tier is not None else self.default_tier
-        browser = BrowserSession(hooks=hooks, title=workload.name, tier=tier)
-        if hasattr(workload, "prepare"):
-            workload.prepare(browser)
-
-        # Step 3: intercept every script first so the loop registry is
-        # populated before the dependence focus is resolved (parsing never
-        # touches the virtual clock, so this cannot perturb timings).
-        intercepted = [proxy.request(path) for path, _source in workload.scripts]
+        # Steps 1-3 of Figure 5: host and intercept every script first, so
+        # the loop registry is populated before the dependence focus is
+        # resolved (parsing never touches the virtual clock).
+        proxy, documents = self._host_and_intercept(workload, spec)
         focus_loop_id = self._resolve_focus(spec, proxy.registry, workload.name)
 
-        # Attach the composed tracer set to the one bus, single pass.
-        lightweight = gecko = loop_profiler = analyzer = None
+        # The composed tracer set observes one pass on one bus.
+        lightweight = gecko = loop_profiler = analyzer = recorder = None
+        tracers = []
         if LIGHTWEIGHT in spec.tracers:
-            lightweight = hooks.attach(LightweightProfiler())
+            lightweight = LightweightProfiler()
+            tracers.append(lightweight)
         if GECKO in spec.tracers:
-            gecko = hooks.attach(GeckoProfiler())
+            gecko = GeckoProfiler()
+            tracers.append(gecko)
         if LOOP_PROFILE in spec.tracers:
-            loop_profiler = hooks.attach(LoopProfiler(registry=proxy.registry))
+            loop_profiler = LoopProfiler(registry=proxy.registry)
+            tracers.append(loop_profiler)
         if DEPENDENCE in spec.tracers:
-            analyzer = hooks.attach(
-                DependenceAnalyzer(registry=proxy.registry, focus_loop_id=focus_loop_id)
-            )
-        recorder = None
+            analyzer = DependenceAnalyzer(registry=proxy.registry, focus_loop_id=focus_loop_id)
+            tracers.append(analyzer)
         if spec.trace_policy == "record":
             # Record the pipeline's union mask (a superset of any composed
             # spec), so the stored trace replays every future mode.
@@ -213,19 +197,19 @@ class AnalysisSession:
                 mask=pipeline_trace_mask() | spec.combined_mask(),
                 workload=workload.name,
                 fingerprint=workload_fingerprint(workload),
-                ms_per_op=browser.clock.ms_per_op,
                 drop_methods=pipeline_dropped_methods(),
             )
-            hooks.attach(recorder)
+            tracers.append(recorder)
+
+        def start(browser) -> None:
+            if recorder is not None:
+                recorder.mark_start(browser.clock)
+            if lightweight is not None:
+                lightweight.start(browser.clock)
 
         # Step 4: execute the documents and exercise the application.
-        if recorder is not None:
-            recorder.mark_start(browser.clock)
-        if lightweight is not None:
-            lightweight.start(browser.clock)
-        for document in intercepted:
-            browser.run_document(document)
-        workload.exercise(browser)
+        tier = spec.tier if spec.tier is not None else self.default_tier
+        browser = execute_and_exercise(workload, documents, tracers, tier=tier, on_start=start)
         if lightweight is not None:
             lightweight.stop(browser.clock)
 
@@ -264,17 +248,7 @@ class AnalysisSession:
         streams, the tracers run in their incremental modes, so resident
         memory stays bounded by the chunk size rather than the run length.
         """
-        origin = OriginServer()
-        origin.host_scripts(list(workload.scripts))
-        proxy = InstrumentingProxy(
-            origin,
-            mode=spec.instrumentation_mode(),
-            repository=self.repository,
-            publisher=self.publisher,
-            script_cache=self.script_cache,
-        )
-        intercepted = [proxy.request(path) for path, _source in workload.scripts]
-        del intercepted  # parsed for the registry; never executed
+        proxy, _documents = self._host_and_intercept(workload, spec)  # never executed
         focus_loop_id = self._resolve_focus(spec, proxy.registry, workload.name)
 
         fingerprint = workload_fingerprint(workload)
@@ -336,6 +310,16 @@ class AnalysisSession:
             analyzer=analyzer,
             provenance=f"replay:{trace.digest()[:12]}",
             trace=trace,
+        )
+
+    def _host_and_intercept(self, workload: Any, spec: RunSpec) -> tuple:
+        """``(proxy, documents)`` for ``spec``'s mode, committing to this session."""
+        return host_and_intercept(
+            workload,
+            spec.instrumentation_mode(),
+            script_cache=self.script_cache,
+            repository=self.repository,
+            publisher=self.publisher,
         )
 
     def _finalize(
@@ -485,12 +469,11 @@ class AnalysisSession:
         self,
         workload_names: Optional[List[str]] = None,
         force: bool = False,
-        runner: Any = None,
     ) -> PipelineResult:
         """Run (or reuse) the batch case-study pipeline this session owns."""
         if self.closed:
             raise RuntimeError("AnalysisSession is closed")
-        return self.pipeline.run(workload_names, force=force, runner=runner)
+        return self.pipeline.run(workload_names, force=force)
 
     # ------------------------------------------------------------ experiments
     def experiments(self) -> Dict[str, Any]:

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..browser.window import BrowserSession
+from ..jsvm.hooks import HookBus
 from ..jsvm.parser import parse
 from .ids import IndexRegistry
 from .repository import RemotePublisher, ResultsRepository
@@ -151,3 +153,58 @@ class InstrumentingProxy:
         commit = self.repository.commit(f"analysis results: {report_name}", time_ms=time_ms)
         self.publisher.push(self.repository)
         return commit.commit_id
+
+
+# ---------------------------------------------------------------------------
+# the host-and-run scaffold every instrumented execution shares
+# ---------------------------------------------------------------------------
+def host_and_intercept(
+    workload,
+    mode: InstrumentationMode,
+    script_cache=None,
+    repository: Optional[ResultsRepository] = None,
+    publisher: Optional[RemotePublisher] = None,
+) -> Tuple[InstrumentingProxy, List[InstrumentedDocument]]:
+    """Steps 1-3: host ``workload``'s scripts and request each through a proxy.
+
+    Returns ``(proxy, documents)``; the proxy's registry then indexes every
+    loop and creation site.  Parsing never touches a virtual clock, so
+    intercepting before the browser exists cannot perturb timings.
+    """
+    origin = OriginServer()
+    origin.host_scripts(list(workload.scripts))
+    proxy = InstrumentingProxy(
+        origin,
+        mode=mode,
+        repository=repository,
+        publisher=publisher,
+        script_cache=script_cache,
+    )
+    return proxy, [proxy.request(path) for path, _source in workload.scripts]
+
+
+def execute_and_exercise(
+    workload,
+    documents: Sequence[InstrumentedDocument],
+    tracers: Sequence = (),
+    tier: Optional[str] = None,
+    on_start: Optional[Callable[[BrowserSession], None]] = None,
+) -> BrowserSession:
+    """Step 4: load ``documents`` into a fresh browser and exercise the app.
+
+    ``tracers`` attach, in order, to the browser's hook bus once the page is
+    prepared; ``on_start(browser)`` runs just before the first document
+    executes.  Returns the browser, whose clock sits at the end of the run.
+    """
+    hooks = HookBus()
+    browser = BrowserSession(hooks=hooks, title=workload.name, tier=tier)
+    if hasattr(workload, "prepare"):
+        workload.prepare(browser)
+    for tracer in tracers:
+        hooks.attach(tracer)
+    if on_start is not None:
+        on_start(browser)
+    for document in documents:
+        browser.run_document(document)
+    workload.exercise(browser)
+    return browser

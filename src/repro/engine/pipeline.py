@@ -37,7 +37,7 @@ from ..analysis.casestudy import ApplicationAnalysis, CaseStudyRunner, pipeline_
 from ..analysis.tables import CaseStudyTables, build_tables
 from ..jsvm.hooks import Trace
 from .cache import BytecodeCache, ScriptCache, TraceStore, workload_fingerprint
-from .stages import prepare_workload_bytecode, run_stages, trace_replay_enabled
+from .stages import prepare_workload_bytecode, run_stages
 from .workerpool import (
     PoolTask,
     PoolUnavailableError,
@@ -210,32 +210,27 @@ class AnalysisPipeline:
         self,
         workload_names: Optional[Sequence[str]] = None,
         force: bool = False,
-        runner: Optional[CaseStudyRunner] = None,
     ) -> PipelineResult:
         """Run (or reuse) the full pipeline over the given workloads.
 
         Results are cached per requested workload *set* — the key is the
         sorted name tuple, so ``["a", "b"]`` and ``["b", "a"]`` share one
         entry and names containing commas cannot collide.  ``force``
-        recomputes.  A custom ``runner`` is honoured for the computation but
-        disables fan-out (runner instances do not cross process boundaries)
-        and bypasses the result cache — its configuration is not part of the
-        cache key, so its results must not be served to default callers.
+        recomputes.
         """
         from ..workloads import all_workloads
 
         key: Tuple[str, ...] = (
             tuple(sorted(workload_names)) if workload_names else ("<all>",)
         )
-        if runner is None and not force and key in self._results:
+        if not force and key in self._results:
             return self._results[key]
         workloads = all_workloads()
         if workload_names:
             workloads = [w for w in workloads if w.name in workload_names]
-        analyses = self.analyze_many(workloads, runner=runner)
+        analyses = self.analyze_many(workloads)
         result = PipelineResult(analyses=analyses, tables=build_tables(analyses))
-        if runner is None:
-            self._results[key] = result
+        self._results[key] = result
         return result
 
     def invalidate(self) -> None:
@@ -270,11 +265,7 @@ class AnalysisPipeline:
         analysis = run_stages(self.make_runner(), workload, stages=stages, state=state)
         return analysis, state["speculation"]
 
-    def analyze_many(
-        self,
-        workloads: Sequence,
-        runner: Optional[CaseStudyRunner] = None,
-    ) -> List[ApplicationAnalysis]:
+    def analyze_many(self, workloads: Sequence) -> List[ApplicationAnalysis]:
         """Analyze a batch of workloads, fanning out when it pays off.
 
         Fan-out requires every workload to be reconstructible by name in the
@@ -285,9 +276,7 @@ class AnalysisPipeline:
         if not workloads:
             return []
         workers = resolve_worker_count(self.workers, len(workloads))
-        fan_out_ok = (
-            runner is None and workers > 1 and self._registry_reconstructible(workloads)
-        )
+        fan_out_ok = workers > 1 and self._registry_reconstructible(workloads)
         if fan_out_ok and self.pool_active():
             analyses = self._fan_out_pooled(workloads)
             if analyses is not None:
@@ -296,7 +285,7 @@ class AnalysisPipeline:
             analyses = self._fan_out(workloads, workers)
             if analyses is not None:
                 return analyses
-        runner = runner if runner is not None else self.make_runner()
+        runner = self.make_runner()
         return [run_stages(runner, workload) for workload in workloads]
 
     def record_trace_pooled(self, workload, mask=None) -> Optional[Trace]:
@@ -364,21 +353,19 @@ class AnalysisPipeline:
         workload's fingerprint.
         """
         fingerprint = workload_fingerprint(workload)
-        replay = trace_replay_enabled()
         mask = pipeline_trace_mask()
 
         def heavy() -> dict:
             trace = None
             trace_ref = None
-            if replay:
-                # A disk-backed store hands out (path, digest) segment
-                # references: the worker opens (mmaps) the shared segment
-                # itself, so the pipe carries zero trace bytes.
-                segment_ref = getattr(self.trace_store, "segment_ref", None)
-                if segment_ref is not None:
-                    trace_ref = segment_ref(fingerprint, mask)
-                if trace_ref is None:
-                    trace = self.trace_store.find(fingerprint, mask)
+            # A disk-backed store hands out (path, digest) segment
+            # references: the worker opens (mmaps) the shared segment
+            # itself, so the pipe carries zero trace bytes.
+            segment_ref = getattr(self.trace_store, "segment_ref", None)
+            if segment_ref is not None:
+                trace_ref = segment_ref(fingerprint, mask)
+            if trace_ref is None:
+                trace = self.trace_store.find(fingerprint, mask)
             bytecode = prepare_workload_bytecode(
                 self.script_cache, self.bytecode_cache, workload
             )
@@ -436,15 +423,10 @@ class AnalysisPipeline:
         import multiprocessing
         import pickle
 
-        replay = trace_replay_enabled()
         mask = pipeline_trace_mask()
         payloads = []
         for workload in workloads:
-            trace = (
-                self.trace_store.find(workload_fingerprint(workload), mask)
-                if replay
-                else None
-            )
+            trace = self.trace_store.find(workload_fingerprint(workload), mask)
             bytecode = prepare_workload_bytecode(
                 self.script_cache, self.bytecode_cache, workload
             )

@@ -8,29 +8,23 @@ of :class:`Stage` steps that read and extend a shared per-workload state
 dictionary, executed by :func:`run_stages` (and therefore by the
 :class:`~repro.engine.pipeline.AnalysisPipeline` for whole batches).
 
+The schedule opens with a ``record`` stage, the only one that runs guest
+code: it executes the workload **once** under the union event mask of every
+downstream analysis (see
+:func:`~repro.analysis.casestudy.pipeline_trace_mask`), or takes that trace
+from the runner's store.  Every later stage — lightweight profiling, loop
+profiling, and the focused dependence analysis of each hot nest — replays
+the trace.  Tracers are clock-neutral and event streams are
+mask-independent, so each replayed stage sees exactly what a live run of
+its instrumentation mode would.
+
 The stages call back into :class:`~repro.analysis.casestudy.CaseStudyRunner`
-for the actual measurement steps, so the methodology itself lives in one
-place and this module only owns the scheduling.
-
-Record-once / replay-many
--------------------------
-
-By default the schedule opens with a ``record`` stage that executes the
-workload **once** under the union event mask of every downstream analysis
-(see :func:`~repro.analysis.casestudy.pipeline_trace_mask`) and stores the
-resulting :class:`~repro.jsvm.hooks.Trace`.  Every later stage — lightweight
-profiling, loop profiling, and each per-nest dependence analysis — then
-*replays* the trace instead of re-executing guest code, which turns the
-staged 4×N-execution pipeline into N recordings plus cheap replays while
-producing byte-identical tables (tracers are clock-neutral and event streams
-are mask-independent).  Set ``REPRO_TRACE_REPLAY=0`` to restore the legacy
-one-execution-per-stage schedule; ``REPRO_FORCE_TRACE_REPLAY=1`` makes any
-silent fallback to live execution an error (the CI tier job uses this).
+for the measurement steps, so the methodology itself lives in one place and
+this module only owns the scheduling.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -38,36 +32,6 @@ from ..analysis.amdahl import bound_for_application
 from ..analysis.casestudy import ApplicationAnalysis, pipeline_trace_mask
 
 StageState = Dict[str, Any]
-
-#: Forces replay-backed stages on and turns live-execution fallbacks in the
-#: replayed stages into hard errors.
-FORCE_TRACE_REPLAY_ENV_VAR = "REPRO_FORCE_TRACE_REPLAY"
-
-#: ``0`` disables the replay-backed schedule (legacy staged re-execution).
-TRACE_REPLAY_ENV_VAR = "REPRO_TRACE_REPLAY"
-
-
-def trace_replay_forced() -> bool:
-    """True when the environment demands replay-backed stages (no fallback)."""
-    return os.environ.get(FORCE_TRACE_REPLAY_ENV_VAR) == "1"
-
-
-def trace_replay_enabled() -> bool:
-    """Whether the schedule records once and replays per stage (the default)."""
-    if trace_replay_forced():
-        return True
-    return os.environ.get(TRACE_REPLAY_ENV_VAR, "1") != "0"
-
-
-def _state_trace(state: StageState, stage_name: str):
-    """The recorded trace for this workload, honouring the force flag."""
-    trace = state.get("trace")
-    if trace is None and trace_replay_forced():
-        raise RuntimeError(
-            f"{FORCE_TRACE_REPLAY_ENV_VAR}=1 but stage {stage_name!r} has no "
-            "recorded trace (the 'record' stage did not run)"
-        )
-    return trace
 
 
 @dataclass(frozen=True)
@@ -92,7 +56,7 @@ def _stage_record(runner, workload, state: StageState) -> None:
     """
     from ..jsvm.hooks import stream_replay_enabled
 
-    if stream_replay_enabled() and hasattr(runner, "obtain_trace_source"):
+    if stream_replay_enabled():
         state["trace"] = runner.obtain_trace_source(workload, pipeline_trace_mask())
     else:
         state["trace"] = runner.obtain_trace(workload, pipeline_trace_mask())
@@ -101,22 +65,14 @@ def _stage_record(runner, workload, state: StageState) -> None:
 
 def _stage_profile(runner, workload, state: StageState) -> None:
     """Step 1: lightweight profiling + sampling profiler (Table 2 row)."""
-    trace = _state_trace(state, "profile")
-    if trace is None:
-        state["table2"] = runner.measure_runtime(workload)
-    else:
-        state["table2"] = runner.measure_runtime_from_trace(workload, trace)
+    state["table2"] = runner.measure_runtime_from_trace(workload, state["trace"])
 
 
 def _stage_loop_profile(runner, workload, state: StageState) -> None:
     """Step 2: loop profiling + nest observation; select the hot nests."""
-    trace = _state_trace(state, "loop-profile")
-    if trace is None:
-        _proxy, profiler, observer = runner.profile_loops(workload)
-    else:
-        _registry, profiler, observer = runner.profile_loops_from_trace(
-            workload, trace, registry=state.get("registry")
-        )
+    _registry, profiler, observer = runner.profile_loops_from_trace(
+        workload, state["trace"], registry=state["registry"]
+    )
     state["profiler"] = profiler
     state["observer"] = observer
     state["hot"] = runner.select_hot_nests(profiler, observer)
@@ -132,7 +88,8 @@ def _stage_dependence(runner, workload, state: StageState) -> None:
     profiler = state["profiler"]
     observer = state["observer"]
     total_nest_time = state["total_nest_time"]
-    trace = _state_trace(state, "dependence")
+    trace = state["trace"]
+    registry = state["registry"]
     items = []
     for profile in state["hot"]:
         observation = observer.observations.get(profile.loop_id)
@@ -141,25 +98,14 @@ def _stage_dependence(runner, workload, state: StageState) -> None:
         fraction = profile.total_time_ms / total_nest_time if total_nest_time > 0 else 0.0
         items.append((profile, observation, fraction))
 
-    if trace is None:
-        analyze = runner.analyze_nest
-        primary = [
-            analyze(workload, profile, observation, fraction)
-            for profile, observation, fraction in items
-        ]
-    else:
-        registry = state.get("registry")
-        if registry is None:
-            registry = runner.registry_for(workload)
+    def analyze(workload, profile, observation, fraction):
+        return runner.analyze_nest_from_trace(
+            workload, trace, registry, profile, observation, fraction
+        )
 
-        def analyze(workload, profile, observation, fraction):
-            return runner.analyze_nest_from_trace(
-                workload, trace, registry, profile, observation, fraction
-            )
-
-        # All hot nests share one pass over the trace (one focused analyzer
-        # each); only inner-loop refinements below replay again.
-        primary = runner.analyze_nests_from_trace(workload, trace, registry, items)
+    # All hot nests share one pass over the trace (one focused analyzer
+    # each); only inner-loop refinements below replay again.
+    primary = runner.analyze_nests_from_trace(workload, trace, registry, items)
 
     nests = []
     for nest, (profile, observation, fraction) in zip(primary, items):
@@ -192,31 +138,18 @@ def _stage_parallel_model(runner, workload, state: StageState) -> None:
     state["analysis"] = analysis
 
 
-_RECORD_STAGE = Stage(
-    "record", "single instrumented execution -> union event trace", _stage_record
-)
-
-_ANALYSIS_STAGES: Tuple[Stage, ...] = (
+_DEFAULT_STAGES: Tuple[Stage, ...] = (
+    Stage("record", "single instrumented execution -> union event trace", _stage_record),
     Stage("profile", "lightweight profiling + sampling (Table 2 row)", _stage_profile),
     Stage("loop-profile", "per-loop statistics + hot-nest selection", _stage_loop_profile),
     Stage("dependence", "focused dependence analysis per hot nest", _stage_dependence),
     Stage("parallel-model", "difficulty rubric + Amdahl speedup bound", _stage_parallel_model),
 )
 
-_DEFAULT_STAGES: Tuple[Stage, ...] = (_RECORD_STAGE,) + _ANALYSIS_STAGES
-
-#: The legacy schedule: every stage re-executes the workload live.
-_LIVE_STAGES: Tuple[Stage, ...] = _ANALYSIS_STAGES
-
 
 def default_stages() -> Tuple[Stage, ...]:
-    """The canonical schedule (record → profile → loops → deps → model).
-
-    Honours :func:`trace_replay_enabled`: with replay disabled the record
-    stage is dropped and every analysis stage falls back to its live
-    one-execution-per-stage behaviour.
-    """
-    return _DEFAULT_STAGES if trace_replay_enabled() else _LIVE_STAGES
+    """The canonical schedule (record → profile → loops → deps → model)."""
+    return _DEFAULT_STAGES
 
 
 def speculation_stage(executor) -> Stage:

@@ -1356,8 +1356,12 @@ class TraceRecorder(Tracer):
 
     # ------------------------------------------------------------ lifecycle
     def mark_start(self, clock) -> None:
-        """Stamp the moment live tracers would observe ``start`` (pre-load)."""
+        """Stamp the moment live tracers would observe ``start`` (pre-load).
+
+        Also adopts the clock's per-op cost, which replay clocks reproduce.
+        """
         self.start_ms = clock.now()
+        self.ms_per_op = clock.ms_per_op
 
     def mark_end(self, clock) -> None:
         """Stamp the final clock reading (post-exercise)."""

@@ -849,20 +849,12 @@ class SpeculativeExecutor:
         rollback on known-dependent nests).  The run's final state is the
         serial ground truth; its digest is returned for bit-identity checks.
         """
-        from ..browser.window import BrowserSession
-        from ..ceres.proxy import InstrumentationMode, InstrumentingProxy, OriginServer
+        from ..ceres.proxy import InstrumentationMode, execute_and_exercise, host_and_intercept
 
         options = options if options is not None else self.options
-        origin = OriginServer()
-        origin.host_scripts(list(workload.scripts))
-        proxy = InstrumentingProxy(
-            origin, mode=InstrumentationMode.LOOP_PROFILE, script_cache=self.script_cache
+        proxy, documents = host_and_intercept(
+            workload, InstrumentationMode.LOOP_PROFILE, script_cache=self.script_cache
         )
-        hooks = HookBus()
-        browser = BrowserSession(hooks=hooks, title=workload.name)
-        if hasattr(workload, "prepare"):
-            workload.prepare(browser)
-        intercepted = [proxy.request(path) for path, _source in workload.scripts]
 
         site = proxy.registry.loop_for_line(line)
         run = WorkloadSpeculation(
@@ -903,11 +895,11 @@ class SpeculativeExecutor:
                 kind=site.kind,
                 pool=self.pool,
             )
+
+        def attach(browser) -> None:
             browser.interp.speculation = controller
 
-        for document in intercepted:
-            browser.run_document(document)
-        workload.exercise(browser)
+        browser = execute_and_exercise(workload, documents, on_start=attach)
         browser.interp.speculation = None
 
         if controller is not None:

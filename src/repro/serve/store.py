@@ -65,9 +65,10 @@ class DiskTraceStore(TraceStore):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Events per segment chunk (None → the REPRO_TRACE_CHUNK_EVENTS /
-        #: built-in default at write time).  Traces that fit in one chunk are
-        #: written in the legacy single-document format, so small stores stay
-        #: byte-compatible with ``Trace.save``.
+        #: built-in default at write time).  Only the json encoding writes a
+        #: trace that fits in one chunk in the legacy single-document format
+        #: (byte-compatible with ``Trace.save``); the binary writer always
+        #: writes its columnar container.
         self.chunk_events = chunk_events
         #: Segment encoding for *new* writes (None → the REPRO_TRACE_ENCODING /
         #: binary default at write time).  Existing segments of either format

@@ -117,21 +117,9 @@ class TestScriptCache:
 
 
 class TestStageSchedule:
-    def test_default_stage_names_and_order(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_REPLAY", raising=False)
-        monkeypatch.delenv("REPRO_FORCE_TRACE_REPLAY", raising=False)
+    def test_default_stage_names_and_order(self):
         assert [stage.name for stage in default_stages()] == [
             "record",
-            "profile",
-            "loop-profile",
-            "dependence",
-            "parallel-model",
-        ]
-
-    def test_replay_disabled_restores_live_schedule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_REPLAY", "0")
-        monkeypatch.delenv("REPRO_FORCE_TRACE_REPLAY", raising=False)
-        assert [stage.name for stage in default_stages()] == [
             "profile",
             "loop-profile",
             "dependence",

@@ -18,9 +18,10 @@ import pytest
 from repro.analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
 from repro.api import AnalysisSession, RunSpec
 from repro.api.spec import DEPENDENCE, GECKO, LIGHTWEIGHT, LOOP_PROFILE
+from repro.browser.window import BrowserSession
 from repro.engine.cache import TraceStore, workload_fingerprint
 from repro.engine.pipeline import AnalysisPipeline, _analyze_in_worker
-from repro.engine.stages import default_stages, trace_replay_enabled
+from repro.engine.stages import default_stages
 from repro.jsvm.hooks import (
     EV_FUNCTION,
     EV_LOOP,
@@ -232,63 +233,50 @@ class TestTraceStore:
 
 
 class TestReplayBackedSchedule:
-    def test_default_schedule_records_then_replays(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_REPLAY", raising=False)
-        assert trace_replay_enabled()
+    def test_default_schedule_records_then_replays(self):
         assert [stage.name for stage in default_stages()][0] == "record"
 
     def test_pipeline_executes_each_workload_exactly_once(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_REPLAY", raising=False)
-        calls = {"record": 0}
-        original = CaseStudyRunner.record_trace
+        # Every guest execution runs each intercepted document through
+        # BrowserSession.run_document, whichever path set it up — so one
+        # execution of the workload is exactly one run per script.
+        workload = get_workload("Normal Mapping")
+        calls = {"record": 0, "documents": 0}
+        original_record = CaseStudyRunner.record_trace
+        original_run_document = BrowserSession.run_document
 
         def counting_record(self, workload, mask=None):
             calls["record"] += 1
-            return original(self, workload, mask)
+            return original_record(self, workload, mask)
 
-        def forbidden_live(self, *args, **kwargs):
-            raise AssertionError("live instrumented run in replay-backed schedule")
+        def counting_run_document(self, document):
+            calls["documents"] += 1
+            return original_run_document(self, document)
 
         monkeypatch.setattr(CaseStudyRunner, "record_trace", counting_record)
-        monkeypatch.setattr(CaseStudyRunner, "_instrumented_run", forbidden_live)
+        monkeypatch.setattr(BrowserSession, "run_document", counting_run_document)
         pipeline = AnalysisPipeline(workers=1)
-        result = pipeline.run(["Normal Mapping"], force=True)
+        result = pipeline.run([workload.name], force=True)
         analysis = result.analyses[0]
         assert calls["record"] == 1
+        assert calls["documents"] == len(workload.scripts)
         assert analysis.nests, "replayed schedule must still find hot nests"
         assert analysis.table2.total_seconds > 0
-
-    def test_replay_disabled_matches_replay_enabled_tables(self, monkeypatch):
-        replayed = AnalysisPipeline(workers=1).run(["Normal Mapping"], force=True)
-        monkeypatch.setenv("REPRO_TRACE_REPLAY", "0")
-        monkeypatch.delenv("REPRO_FORCE_TRACE_REPLAY", raising=False)
-        live = AnalysisPipeline(workers=1).run(["Normal Mapping"], force=True)
-        assert live.tables.render_table2() == replayed.tables.render_table2()
-        assert live.tables.render_table3() == replayed.tables.render_table3()
-
-    def test_force_flag_errors_instead_of_silent_live_fallback(self, monkeypatch):
-        from repro.engine.stages import _stage_profile
-
-        monkeypatch.setenv("REPRO_FORCE_TRACE_REPLAY", "1")
-        runner = CaseStudyRunner()
-        with pytest.raises(RuntimeError, match="no recorded trace"):
-            _stage_profile(runner, get_workload("Normal Mapping"), {})
 
     def test_fan_out_worker_replays_a_shipped_trace(self, monkeypatch):
         # Ship a pre-recorded trace in the worker payload and forbid every
         # execution path: the worker must complete on replay alone.
-        monkeypatch.delenv("REPRO_TRACE_REPLAY", raising=False)
         workload = get_workload("Normal Mapping")
         trace = CaseStudyRunner(trace_store=TraceStore()).record_trace(workload)
 
         def forbidden_record(self, *args, **kwargs):
             raise AssertionError("worker re-recorded a shipped trace")
 
-        def forbidden_live(self, *args, **kwargs):
+        def forbidden_run_document(self, *args, **kwargs):
             raise AssertionError("worker executed guest code despite shipped trace")
 
         monkeypatch.setattr(CaseStudyRunner, "record_trace", forbidden_record)
-        monkeypatch.setattr(CaseStudyRunner, "_instrumented_run", forbidden_live)
+        monkeypatch.setattr(BrowserSession, "run_document", forbidden_run_document)
         analysis, recorded = _analyze_in_worker(
             (
                 "Normal Mapping",
