@@ -67,7 +67,7 @@ def _best_rate(path: str) -> float:
 
 
 def _loop_rows(path: str) -> list:
-    profiler = LoopProfiler(incremental=True)
+    profiler = LoopProfiler()
     TraceReplayer(open_trace_source(path)).replay([profiler])
     return [profiler.profiles[key].as_row() for key in sorted(profiler.profiles)]
 

@@ -244,28 +244,6 @@ class CaseStudyRunner:
             self.trace_store.put(trace)
         return trace
 
-    def obtain_trace_source(self, workload, mask: Optional[int] = None):
-        """A replayable *source* covering ``mask``: stored, or recorded now.
-
-        Where :meth:`obtain_trace` always yields a resident
-        :class:`~repro.jsvm.hooks.Trace`, this asks the store for a streaming
-        handle first (``find_source``) — a disk-backed store serves chunked
-        segments chunk-at-a-time, keeping replay memory flat in the trace
-        length.  A freshly recorded trace is returned directly: it is already
-        resident, so round-tripping it through disk buys nothing.
-        """
-        from ..engine.cache import workload_fingerprint
-
-        mask = mask if mask is not None else pipeline_trace_mask()
-        if self.trace_store is not None:
-            source = self.trace_store.find_source(workload_fingerprint(workload), mask)
-            if source is not None:
-                return source
-        trace = self.record_trace(workload, mask)
-        if self.trace_store is not None:
-            self.trace_store.put(trace)
-        return trace
-
     def registry_for(self, workload) -> IndexRegistry:
         """The loop/creation-site registry for ``workload``, without execution.
 
@@ -336,14 +314,12 @@ class CaseStudyRunner:
     def measure_runtime_from_trace(self, workload, trace) -> Table2Row:
         """Step 1 from a recorded trace (no guest execution).
 
-        ``trace`` may be an in-memory :class:`Trace` or a streamed source
-        (:class:`~repro.jsvm.hooks.TraceFileSource`); when the replay
-        streams, the sampling profiler keeps counters instead of per-sample
-        records, so memory stays bounded by the chunk size.
+        ``trace`` may be an in-memory :class:`Trace` or any other chunk
+        source (:class:`~repro.jsvm.hooks.TraceFileSource`).
         """
         replayer = TraceReplayer(trace)
         lightweight = LightweightProfiler()
-        gecko = GeckoProfiler(retain_samples=not replayer.streaming)
+        gecko = GeckoProfiler()
         replayer.replay([lightweight, gecko])
         lightweight.stop(replayer.clock)
         result = lightweight.result(replayer.clock)
@@ -360,7 +336,7 @@ class CaseStudyRunner:
         """Step 2 from a recorded trace; returns ``(registry, profiler, observer)``."""
         registry = registry if registry is not None else self.registry_for(workload)
         replayer = TraceReplayer(trace)
-        profiler = LoopProfiler(registry=registry, incremental=replayer.streaming)
+        profiler = LoopProfiler(registry=registry)
         observer = NestObserver(registry=registry)
         replayer.replay([profiler, observer])
         return registry, profiler, observer
@@ -401,11 +377,7 @@ class CaseStudyRunner:
             return []
         replayer = TraceReplayer(trace)
         analyzers = [
-            DependenceAnalyzer(
-                registry=registry,
-                focus_loop_id=profile.loop_id,
-                incremental=replayer.streaming,
-            )
+            DependenceAnalyzer(registry=registry, focus_loop_id=profile.loop_id)
             for profile, _observation, _fraction in items
         ]
         replayer.replay(analyzers)

@@ -176,20 +176,10 @@ class AnalysisSession:
         focus_loop_id = self._resolve_focus(spec, proxy.registry, workload.name)
 
         # The composed tracer set observes one pass on one bus.
-        lightweight = gecko = loop_profiler = analyzer = recorder = None
-        tracers = []
-        if LIGHTWEIGHT in spec.tracers:
-            lightweight = LightweightProfiler()
-            tracers.append(lightweight)
-        if GECKO in spec.tracers:
-            gecko = GeckoProfiler()
-            tracers.append(gecko)
-        if LOOP_PROFILE in spec.tracers:
-            loop_profiler = LoopProfiler(registry=proxy.registry)
-            tracers.append(loop_profiler)
-        if DEPENDENCE in spec.tracers:
-            analyzer = DependenceAnalyzer(registry=proxy.registry, focus_loop_id=focus_loop_id)
-            tracers.append(analyzer)
+        composed = self._compose_tracers(spec, proxy.registry, focus_loop_id)
+        lightweight, gecko, loop_profiler, analyzer = composed
+        tracers = [tracer for tracer in composed if tracer is not None]
+        recorder = None
         if spec.trace_policy == "record":
             # Record the pipeline's union mask (a superset of any composed
             # spec), so the stored trace replays every future mode.
@@ -243,10 +233,9 @@ class AnalysisSession:
         exactly as in a live run; only the *execution* is replaced by the
         trace replay.
 
-        ``trace`` may be an in-memory :class:`Trace` or a streamed source
-        (e.g. :class:`~repro.jsvm.hooks.TraceFileSource`).  When the replay
-        streams, the tracers run in their incremental modes, so resident
-        memory stays bounded by the chunk size rather than the run length.
+        ``trace`` may be an in-memory :class:`Trace` or any other chunk
+        source (e.g. :class:`~repro.jsvm.hooks.TraceFileSource`, which
+        replays in memory bounded by its chunk size).
         """
         proxy, _documents = self._host_and_intercept(workload, spec)  # never executed
         focus_loop_id = self._resolve_focus(spec, proxy.registry, workload.name)
@@ -260,38 +249,14 @@ class AnalysisSession:
                     f"requested for {workload.name!r} (fingerprint {fingerprint[:12]}...)"
                 )
         else:
-            from ..jsvm.hooks import stream_replay_enabled
-
-            if stream_replay_enabled():
-                trace = self.trace_store.find_source(fingerprint, spec.combined_mask())
-            else:
-                trace = self.trace_store.find(fingerprint, spec.combined_mask())
+            trace = self.trace_store.find(fingerprint, spec.combined_mask())
             if trace is None:
                 trace = self.record_trace(workload)
 
-        # The replayer decides up front whether this pass streams; the
-        # tracers' incremental/counter modes key off that decision.
         replayer = TraceReplayer(trace)
-        lightweight = gecko = loop_profiler = analyzer = None
-        tracers = []
-        if LIGHTWEIGHT in spec.tracers:
-            lightweight = LightweightProfiler()
-            tracers.append(lightweight)
-        if GECKO in spec.tracers:
-            gecko = GeckoProfiler(retain_samples=not replayer.streaming)
-            tracers.append(gecko)
-        if LOOP_PROFILE in spec.tracers:
-            loop_profiler = LoopProfiler(
-                registry=proxy.registry, incremental=replayer.streaming
-            )
-            tracers.append(loop_profiler)
-        if DEPENDENCE in spec.tracers:
-            analyzer = DependenceAnalyzer(
-                registry=proxy.registry,
-                focus_loop_id=focus_loop_id,
-                incremental=replayer.streaming,
-            )
-            tracers.append(analyzer)
+        composed = self._compose_tracers(spec, proxy.registry, focus_loop_id)
+        lightweight, gecko, loop_profiler, analyzer = composed
+        tracers = [tracer for tracer in composed if tracer is not None]
 
         if lightweight is not None:
             lightweight.start(replayer.clock)  # clock sits at trace.start_ms
@@ -310,6 +275,20 @@ class AnalysisSession:
             analyzer=analyzer,
             provenance=f"replay:{trace.digest()[:12]}",
             trace=trace,
+        )
+
+    @staticmethod
+    def _compose_tracers(spec: RunSpec, registry, focus_loop_id: Optional[int]) -> tuple:
+        """``(lightweight, gecko, loop_profiler, analyzer)`` for ``spec``, None
+        where not requested; each tracer has one mode, live and replayed."""
+        wanted = spec.tracers
+        return (
+            LightweightProfiler() if LIGHTWEIGHT in wanted else None,
+            GeckoProfiler() if GECKO in wanted else None,
+            LoopProfiler(registry=registry) if LOOP_PROFILE in wanted else None,
+            DependenceAnalyzer(registry=registry, focus_loop_id=focus_loop_id)
+            if DEPENDENCE in wanted
+            else None,
         )
 
     def _host_and_intercept(self, workload: Any, spec: RunSpec) -> tuple:
@@ -361,7 +340,7 @@ class AnalysisSession:
                 "active_seconds": gecko.active_seconds(),
                 "active_ms": gecko.profile.active_ms,
                 "total_sampled_ms": gecko.profile.total_sampled_ms,
-                "samples": gecko.profile.counts()[0],
+                "samples": gecko.profile.sample_count,
                 "sample_interval_ms": gecko.sample_interval_ms,
             }
             if lightweight is None:

@@ -18,63 +18,27 @@ out frequently are attributed correctly.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..jsvm.hooks import EV_FUNCTION, EV_STATEMENT, Tracer
 
 
 @dataclass
-class ProfileSample:
-    """One stack sample."""
-
-    time_ms: float
-    top_function: str
-    stack_depth: int
-    active: bool
-
-
-@dataclass
 class GeckoProfile:
-    """Aggregated output of a profiling run.
+    """Aggregated output of a profiling run: running sample counters."""
 
-    ``sample_count`` / ``active_count`` are running counters maintained by
-    :class:`GeckoProfiler` alongside the sample list, so the aggregate
-    numbers survive a profiler that drops the per-sample records
-    (``retain_samples=False`` — the streaming-replay memory bound).  For
-    directly constructed profiles (tests, external data) the counters fall
-    back to deriving from ``samples``.
-    """
-
-    samples: List[ProfileSample] = field(default_factory=list)
     sample_interval_ms: float = 1.0
     sample_count: int = 0
     active_count: int = 0
 
-    def counts(self) -> tuple:
-        """``(sample_count, active_count)`` regardless of how the profile
-        was built — counters when maintained, derived from ``samples``
-        otherwise."""
-        if self.sample_count == 0 and self.samples:
-            return (len(self.samples), sum(1 for s in self.samples if s.active))
-        return (self.sample_count, self.active_count)
-
     @property
     def active_ms(self) -> float:
-        return self.counts()[1] * self.sample_interval_ms
+        return self.active_count * self.sample_interval_ms
 
     @property
     def total_sampled_ms(self) -> float:
-        return self.counts()[0] * self.sample_interval_ms
-
-    def self_time_by_function(self) -> Dict[str, float]:
-        counter: Counter = Counter(s.top_function for s in self.samples if s.active)
-        return {name: count * self.sample_interval_ms for name, count in counter.items()}
-
-    def hottest_functions(self, count: int = 10) -> List[tuple]:
-        ranked = sorted(self.self_time_by_function().items(), key=lambda kv: kv[1], reverse=True)
-        return ranked[:count]
+        return self.sample_count * self.sample_interval_ms
 
 
 class GeckoProfiler(Tracer):
@@ -90,11 +54,9 @@ class GeckoProfiler(Tracer):
         observed since the previous sample.  When False every sample taken
         while guest code is on the stack counts as active (an idealized
         statement-level sampler).
-    retain_samples:
-        When False, per-sample records are not kept — only the running
-        counters (sample/active counts) — so memory stays O(1) in the run
-        length.  Every aggregate the analysis pipeline consumes comes from
-        the counters; only per-sample inspection needs the records.
+
+    Only the sample and active counters are kept, so memory stays O(1) in
+    the run length.
     """
 
     EVENTS = EV_FUNCTION | EV_STATEMENT
@@ -103,11 +65,9 @@ class GeckoProfiler(Tracer):
         self,
         sample_interval_ms: float = 1.0,
         function_granularity: bool = True,
-        retain_samples: bool = True,
     ) -> None:
         self.sample_interval_ms = sample_interval_ms
         self.function_granularity = function_granularity
-        self.retain_samples = retain_samples
         self.profile = GeckoProfile(sample_interval_ms=sample_interval_ms)
         self._last_sample_ms: Optional[float] = None
         self._call_activity_since_sample = False
@@ -128,10 +88,10 @@ class GeckoProfiler(Tracer):
             return
         while now - self._last_sample_ms >= self.sample_interval_ms:
             self._last_sample_ms += self.sample_interval_ms
-            self._take_sample(interp, self._last_sample_ms)
+            self._take_sample()
 
     # -- internals -------------------------------------------------------------
-    def _take_sample(self, interp, time_ms: float) -> None:
+    def _take_sample(self) -> None:
         if self.function_granularity:
             active = self._call_activity_since_sample
         else:
@@ -139,15 +99,6 @@ class GeckoProfiler(Tracer):
         self.profile.sample_count += 1
         if active:
             self.profile.active_count += 1
-        if self.retain_samples:
-            self.profile.samples.append(
-                ProfileSample(
-                    time_ms=time_ms,
-                    top_function=interp.current_function_name(),
-                    stack_depth=len(interp.call_stack),
-                    active=active,
-                )
-            )
         self._call_activity_since_sample = False
         self._statements_since_sample = 0
 

@@ -156,19 +156,9 @@ class DependenceAnalyzer(Tracer):
         self,
         registry: Optional[IndexRegistry] = None,
         focus_loop_id: Optional[int] = None,
-        incremental: bool = False,
     ) -> None:
         self.registry = registry
         self.focus_loop_id = focus_loop_id
-        #: Incremental (streaming) mode: per-nest state is evicted once the
-        #: nest closes, keeping resident memory bounded by the *open* nests
-        #: instead of the whole run.  Results are identical to the default
-        #: mode — see :meth:`on_loop_exit` for why eviction is sound — but
-        #: the mode requires the event source to keep every stand-in object
-        #: and environment alive for the analyzer's lifetime (the trace
-        #: replayer's intern tables do), because it skips the id-pinning
-        #: retention list.
-        self.incremental = incremental
         self.stack = LoopStack()
         self.warnings: Dict[Tuple, DependenceWarning] = {}
         self.recursion_loop_ids: Set[int] = set()
@@ -180,6 +170,8 @@ class DependenceAnalyzer(Tracer):
         #: Keyed by the environment *itself*: live scopes hash by identity,
         #: while trace replay hands dense integer indexes — value-hashed, so
         #: no stand-in object per recorded scope needs to stay resident.
+        #: Both stamp maps are evicted as nests close (:meth:`_evict_closed`),
+        #: keeping resident memory bounded by the *open* nests.
         self._env_stamps: Dict[Any, Stamp] = {}
         #: names of variables that hold per-iteration aliases (informational)
         self._variable_names: Dict[int, str] = {}
@@ -188,7 +180,8 @@ class DependenceAnalyzer(Tracer):
         #: objects die mid-run would allow CPython to reuse their ids and
         #: silently merge unrelated targets — making reports depend on the
         #: process's allocation history.  Retention keeps ids unambiguous
-        #: (and results deterministic) for the analyzer's lifetime.
+        #: (and results deterministic) for the analyzer's lifetime.  Under
+        #: replay it costs one pointer per object the replayer already holds.
         self._retained: List[Any] = []
         #: Open instances of the focus loop (of every loop when unfocused).
         self._focus_open = 0
@@ -252,8 +245,10 @@ class DependenceAnalyzer(Tracer):
         self._stack_changed()
         if popped is not None and self._in_focus(loop_id):
             self._focus_open -= 1
-        if not self.incremental:
-            return
+        self._evict_closed(loop_id)
+
+    def _evict_closed(self, loop_id: int) -> None:
+        """Drop stamp state no later event can observe, after ``loop_id`` exits."""
         if not self.stack.entries:
             # Every held stamp now references dead loop instances: instance
             # counters are globally monotonic, so a stamp whose instances are
@@ -277,17 +272,15 @@ class DependenceAnalyzer(Tracer):
     def on_object_created(self, interp, obj, node) -> None:
         if isinstance(obj, JSObject):
             obj.creation_stamp = self._current_snapshot()
-            if not self.incremental:
-                self._retained.append(obj)
+            self._retained.append(obj)
 
     def on_env_created(self, interp, env, kind) -> None:
         stamp = self._current_snapshot()
-        if self.incremental and not stamp:
+        if not stamp:
             # An empty stamp is what lookups default to — don't store it.
             return
-        # The dict key itself pins a live environment object for the
-        # analyzer's lifetime (identity-keyed, so a recycled id can never
-        # alias it); no extra retention needed.
+        # The dict key is the environment itself (identity-keyed, so a
+        # recycled id can never alias it); no extra retention needed.
         self._env_stamps[env] = stamp
 
     # ------------------------------------------------------------ access hooks

@@ -70,19 +70,13 @@ class LoopProfiler(Tracer):
     #: Mode 2 also only subscribes to loop events (Section 3.2).
     EVENTS = EV_LOOP
 
-    def __init__(
-        self, registry: Optional[IndexRegistry] = None, incremental: bool = False
-    ) -> None:
+    def __init__(self, registry: Optional[IndexRegistry] = None) -> None:
         self.registry = registry
-        #: Incremental (streaming) mode: closed-instance scratch records are
-        #: recycled instead of left to the allocator, so resident memory is
-        #: bounded by the *deepest open nest* regardless of how many loop
-        #: instances the trace holds.  Aggregates are identical either way —
-        #: profiles are Welford accumulators keyed by syntactic loop.
-        self.incremental = incremental
         self.profiles: Dict[int, LoopProfile] = {}
+        #: Open loop instances; a closed one is folded into its profile's
+        #: Welford accumulators and dropped, so resident memory is bounded by
+        #: the *deepest open nest* regardless of how many instances run.
         self._open: List[_OpenInstance] = []
-        self._free: List[_OpenInstance] = []
         #: High-water mark of simultaneously open loop instances — the
         #: profiler's actual per-nest memory bound, reported by the
         #: streaming-memory benchmark.
@@ -95,16 +89,7 @@ class LoopProfiler(Tracer):
         parents = [inst.loop_id for inst in self._open]
         if parents and not profile.observed_parents:
             profile.observed_parents = parents
-        if self.incremental and self._free:
-            instance = self._free.pop()
-            instance.loop_id = node.node_id
-            instance.start_ms = interp.clock.now()
-            instance.trip_count = 0
-            self._open.append(instance)
-        else:
-            self._open.append(
-                _OpenInstance(loop_id=node.node_id, start_ms=interp.clock.now())
-            )
+        self._open.append(_OpenInstance(loop_id=node.node_id, start_ms=interp.clock.now()))
         if len(self._open) > self.peak_open_instances:
             self.peak_open_instances = len(self._open)
 
@@ -121,8 +106,6 @@ class LoopProfiler(Tracer):
                 profile = self._profile_for(node)
                 profile.trip_stats.push(instance.trip_count)
                 profile.time_stats_ms.push(interp.clock.now() - instance.start_ms)
-                if self.incremental:
-                    self._free.append(instance)
                 return
 
     # -- queries -----------------------------------------------------------

@@ -193,10 +193,11 @@ class TraceStore:
         self.puts = 0
 
     def find(self, fingerprint: str, required_mask: int) -> Optional[Trace]:
-        """A stored trace covering ``required_mask``, or ``None``.
+        """A resident trace covering ``required_mask``, or ``None``.
 
         Among covering traces the one with the fewest extra event classes is
-        preferred (replay cost scales with record count).
+        preferred (replay cost scales with record count).  An installed
+        source or a second-tier segment is decoded once and memorized.
         """
         with self._lock:
             candidates = [
@@ -222,35 +223,6 @@ class TraceStore:
         with self._lock:
             self.misses += 1
         return None
-
-    def find_source(self, fingerprint: str, required_mask: int):
-        """A *replayable source* covering ``required_mask``, or ``None``.
-
-        Resident traces win (already decoded); otherwise an installed source
-        handle (see :meth:`put_source`) is served directly — e.g. an
-        mmap-backed segment a fan-out worker attached by reference — and
-        replays chunk-at-a-time without materializing the event list.  Tiered
-        backends override this to also hand out handles onto their own disk
-        segments.
-        """
-        with self._lock:
-            resident = [
-                trace
-                for trace in self._traces.get(fingerprint, ())
-                if trace.covers(required_mask)
-            ]
-            if resident:
-                self.hits += 1
-                return min(resident, key=lambda trace: bin(trace.mask).count("1"))
-            sources = [
-                source
-                for source in self._sources.get(fingerprint, ())
-                if source.covers(required_mask)
-            ]
-            if sources:
-                self.hits += 1
-                return min(sources, key=lambda source: bin(source.mask).count("1"))
-        return self.find(fingerprint, required_mask)
 
     def put_source(self, source) -> None:
         """Install a replayable source handle (no materialization, no count).

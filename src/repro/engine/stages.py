@@ -47,19 +47,8 @@ class Stage:
 
 
 def _stage_record(runner, workload, state: StageState) -> None:
-    """Step 0: the single instrumented execution — record the union trace.
-
-    Under ``REPRO_STREAM_REPLAY=1`` the stage asks for a replay *source*
-    instead of a resident trace: a store backed by chunked segments then
-    serves a streaming handle, and every downstream replay stays
-    O(chunk size) resident regardless of run length.
-    """
-    from ..jsvm.hooks import stream_replay_enabled
-
-    if stream_replay_enabled():
-        state["trace"] = runner.obtain_trace_source(workload, pipeline_trace_mask())
-    else:
-        state["trace"] = runner.obtain_trace(workload, pipeline_trace_mask())
+    """Step 0: the single instrumented execution — record the union trace."""
+    state["trace"] = runner.obtain_trace(workload, pipeline_trace_mask())
     state["registry"] = runner.registry_for(workload)
 
 

@@ -348,12 +348,6 @@ TRACE_FORMAT = "repro-trace"
 #: resident memory; :meth:`Trace.load` still assembles it whole on request.
 TRACE_CHUNK_FORMAT = "repro-trace-chunks"
 
-#: Policy knob: ``REPRO_STREAM_REPLAY=1`` makes every replay pull-based —
-#: in-memory traces are walked chunk-at-a-time and analyzers run in their
-#: incremental (per-nest eviction) modes.  Payloads are byte-identical to
-#: batch replay; only the resident-memory profile changes.
-STREAM_REPLAY_ENV_VAR = "REPRO_STREAM_REPLAY"
-
 #: Override for the default events-per-chunk bound of chunked trace files.
 TRACE_CHUNK_EVENTS_ENV_VAR = "REPRO_TRACE_CHUNK_EVENTS"
 
@@ -385,11 +379,6 @@ def _warn_rejected_env(env_var: str, raw: str, fallback) -> None:
     logger.warning(
         "ignoring invalid %s=%r; using the default %r", env_var, raw, fallback
     )
-
-
-def stream_replay_enabled() -> bool:
-    """Whether the ``REPRO_STREAM_REPLAY`` policy knob forces streaming."""
-    return os.environ.get(STREAM_REPLAY_ENV_VAR, "") == "1"
 
 
 def stream_chunk_events() -> int:
@@ -761,36 +750,16 @@ class Trace:
         return source.load()
 
     # ------------------------------------------------------------- streaming
-    def chunks(self, chunk_events: Optional[int] = None) -> Iterator["TraceChunk"]:
+    def chunks(self) -> Iterator["TraceChunk"]:
         """The chunk-iteration protocol over an in-memory trace.
 
-        The first chunk carries the full intern tables (they are resident on
-        this object anyway); later chunks carry events only.  This is what a
-        forced-streaming replay (:data:`STREAM_REPLAY_ENV_VAR`) walks, so the
-        streamed dispatch path is exercised even for memory-resident traces.
+        The tables and the event list are resident already, so the whole
+        trace is one chunk: :class:`TraceReplayer` walks a resident trace
+        through the same loop as a chunked file source.
         """
-        if chunk_events is None:
-            chunk_events = stream_chunk_events()
-        total = len(self.events)
-        if total == 0:
-            yield TraceChunk(
-                0, self.strings, self.nodes, self.objects, self.env_count, []
-            )
-            return
-        for index, start in enumerate(range(0, total, chunk_events)):
-            if index == 0:
-                yield TraceChunk(
-                    0,
-                    self.strings,
-                    self.nodes,
-                    self.objects,
-                    self.env_count,
-                    self.events[start : start + chunk_events],
-                )
-            else:
-                yield TraceChunk(
-                    index, (), (), (), 0, self.events[start : start + chunk_events]
-                )
+        yield TraceChunk(
+            0, self.strings, self.nodes, self.objects, self.env_count, self.events
+        )
 
 
 def _validate_records(
@@ -1672,7 +1641,11 @@ class _ReplayInterpreter:
 
 
 class TraceReplayer:
-    """Drives ordinary tracers from a recorded :class:`Trace`.
+    """Drives ordinary tracers from a recorded trace.
+
+    Every replay is one loop over the source's ``chunks()``: a resident
+    :class:`Trace` yields its tables and whole event list as a single chunk,
+    a chunked file source yields bounded slices with intern-table deltas.
 
     One replayer materializes one consistent set of stand-in nodes and guest
     objects; every :meth:`replay` call over the same replayer shares them,
@@ -1685,44 +1658,21 @@ class TraceReplayer:
     does not grow with the number of scopes the workload created.
     """
 
-    def __init__(self, trace: Any, streaming: Optional[bool] = None) -> None:
-        """``trace`` is a :class:`Trace` or any chunk source (an object with
-        the header attributes plus a re-iterable ``chunks()``; see
-        :class:`TraceFileSource`).
-
-        ``streaming=None`` picks the policy default: non-:class:`Trace`
-        sources always stream; in-memory traces stream only when the
-        :data:`STREAM_REPLAY_ENV_VAR` knob forces it.
+    def __init__(self, trace: Any) -> None:
+        """``trace`` is any chunk source: a resident :class:`Trace` (one
+        chunk) or an object with the header attributes plus a re-iterable
+        ``chunks()`` (see :class:`TraceFileSource`), which replays in
+        memory bounded by its chunk size.
         """
         self.trace = trace
-        in_memory = isinstance(trace, Trace)
-        if streaming is None:
-            streaming = not in_memory or stream_replay_enabled()
-        else:
-            streaming = bool(streaming) or not in_memory
-        self.streaming = streaming
         self.clock = ReplayClock(trace.start_ms)
         self._interp = _ReplayInterpreter(self.clock)
-        if streaming:
-            # Tables grow as chunks arrive (and are shared across replay
-            # passes: a later pass extends nothing, its chunks re-describe
-            # entries already materialized).
-            self._strings: List[str] = []
-            self._nodes: List[Any] = []
-            self._objects: List[Any] = []
-            return
-        strings = trace.strings
-        self._strings = strings
-        try:
-            self._nodes = [
-                _replay_node_class(strings[kind_index])(node_id, line)
-                for node_id, line, kind_index in trace.nodes
-            ]
-            self._objects = [
-                self._materialize_object(entry, strings) for entry in trace.objects
-            ]
-        except (IndexError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"malformed trace intern table: {exc}") from exc
+        # Tables grow as chunks arrive (and are shared across replay passes:
+        # a later pass extends nothing, its chunks re-describe entries
+        # already materialized).
+        self._strings: List[str] = []
+        self._nodes: List[Any] = []
+        self._objects: List[Any] = []
 
     # ------------------------------------------------------------ stand-ins
     def _materialize_object(self, entry: List[int], strings: List[str]) -> Any:
@@ -1746,7 +1696,7 @@ class TraceReplayer:
         ``seen`` holds the cumulative (strings, nodes, objects) counts
         streamed so far *in this pass*.  Entries already materialized by an
         earlier :meth:`replay` pass are skipped, so repeated passes over one
-        replayer share stand-ins exactly like the batch path does.
+        replayer share stand-ins.
         Environments have no table to extend — events carry their index, and
         that index *is* the identity handed to tracers.
         """
@@ -1774,9 +1724,6 @@ class TraceReplayer:
             seen[2] = start + len(chunk.objects)
         except (IndexError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace intern table: {exc}") from exc
-
-    def _node(self, index: int) -> Any:
-        return self._nodes[index] if index >= 0 else None
 
     # --------------------------------------------------------------- replay
     def required_mask(self, tracers: List[Tracer]) -> int:
@@ -1824,8 +1771,8 @@ class TraceReplayer:
         clock = self.clock
         nodes = self._nodes
         objects = self._objects
-        # In streaming mode the tables are list objects extended in place as
-        # chunks arrive; handlers index them through these same bindings.
+        # The tables are list objects extended in place as chunks arrive;
+        # handlers index them through these same bindings.
         strings = self._strings
         call_stack = interp.call_stack
         elided = TRACE_VALUE_ELIDED
@@ -2100,38 +2047,30 @@ class TraceReplayer:
 
             handlers[TR_RECURSION] = h_recursion
 
-        if self.streaming:
-            seen = [0, 0, 0]
-            wanted = frozenset(
-                opcode
-                for opcode, handler in enumerate(handlers)
-                if handler is not None
-            )
-            for chunk in self.trace.chunks():
-                self._absorb_chunk(chunk, seen)
-                sparse = getattr(chunk, "events_sparse", None)
-                if sparse is not None:
-                    # Columnar chunks materialize tuples only for subscribed
-                    # opcode groups; unsubscribed floods (statement samples
-                    # under a dependence replay) stay as undecoded columns.
-                    # The holes are None — and a fully-materialized chunk may
-                    # be returned whole, so both checks stay.
-                    for record in sparse(wanted):
-                        if record is None:
-                            continue
-                        handler = handlers[record[0]]
-                        if handler is not None:
-                            handler(record)
-                else:
-                    for record in chunk.events:
-                        handler = handlers[record[0]]
-                        if handler is not None:
-                            handler(record)
-        else:
-            for record in self.trace.events:
-                handler = handlers[record[0]]
-                if handler is not None:
-                    handler(record)
+        seen = [0, 0, 0]
+        wanted = frozenset(
+            opcode for opcode, handler in enumerate(handlers) if handler is not None
+        )
+        for chunk in self.trace.chunks():
+            self._absorb_chunk(chunk, seen)
+            sparse = getattr(chunk, "events_sparse", None)
+            if sparse is not None:
+                # Columnar chunks materialize tuples only for subscribed
+                # opcode groups; unsubscribed floods (statement samples under
+                # a dependence replay) stay as undecoded columns.  The holes
+                # are None — and a fully-materialized chunk may be returned
+                # whole, so both checks stay.
+                for record in sparse(wanted):
+                    if record is None:
+                        continue
+                    handler = handlers[record[0]]
+                    if handler is not None:
+                        handler(record)
+            else:
+                for record in chunk.events:
+                    handler = handlers[record[0]]
+                    if handler is not None:
+                        handler(record)
         clock._now_ms = self.trace.end_ms
 
 

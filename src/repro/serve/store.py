@@ -43,7 +43,6 @@ from ..jsvm.hooks import (
     Trace,
     TraceError,
     TraceWriter,
-    open_trace_source,
     trace_encoding,
 )
 
@@ -303,64 +302,6 @@ class DiskTraceStore(TraceStore):
                 return trace
             if self._dirty:
                 self._write_index_locked()
-        return None
-
-    def find_source(self, fingerprint: str, required_mask: int):
-        """Like :meth:`find`, but disk segments are served as *streaming*
-        sources: a chunked segment yields a
-        :class:`~repro.jsvm.hooks.TraceFileSource` handle replayed
-        chunk-at-a-time, never materializing the event list in this process.
-
-        Memory-tier traces are served directly (they are already resident).
-        Streamed handles are deliberately **not** memorized — memorizing one
-        would defeat the bound the caller asked for.  Corruption policy
-        matches :meth:`_find_fallback`: a bad segment is dropped and counted,
-        never raised.
-        """
-        with self._lock:
-            resident = [
-                trace
-                for trace in self._traces.get(fingerprint, ())
-                if trace.covers(required_mask)
-            ]
-            if resident:
-                self.hits += 1
-                return min(resident, key=lambda trace: bin(trace.mask).count("1"))
-        with self._io_lock:
-            candidates = [
-                entry
-                for entry in self._index.get(fingerprint, ())
-                if not (required_mask & ~entry["mask"])
-            ]
-            candidates.sort(key=lambda entry: bin(entry["mask"]).count("1"))
-            for entry in candidates:
-                try:
-                    source = open_trace_source(str(self._segment_path(entry)))
-                    if not isinstance(source, Trace):
-                        # One bounded-memory scan up front, so a truncated
-                        # segment is a miss *here* rather than a mid-replay
-                        # TraceFormatError in the analysis stage.
-                        source.verify()
-                except (TraceError, OSError, EOFError, zlib.error, ValueError):
-                    self.corrupt_segments += 1
-                    self._drop_entry_locked(entry)
-                    continue
-                if source.fingerprint != fingerprint or not source.covers(required_mask):
-                    self.corrupt_segments += 1
-                    self._drop_entry_locked(entry)
-                    continue
-                self.disk_hits += 1
-                if isinstance(source, Trace):
-                    # Legacy single-document segments decode whole anyway;
-                    # keep them resident exactly as ``find`` would.
-                    self._remember(source)
-                with self._lock:
-                    self.hits += 1
-                return source
-            if self._dirty:
-                self._write_index_locked()
-        with self._lock:
-            self.misses += 1
         return None
 
     def fingerprints(self) -> List[str]:

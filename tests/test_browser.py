@@ -215,7 +215,7 @@ class TestGeckoProfiler:
         session.run_script(
             "function work() { var s = 0; for (var i = 0; i < 400; i++) { s += Math.sqrt(i); } return s; } work();"
         )
-        assert len(profiler.profile.samples) > 0
+        assert profiler.profile.sample_count > 0
         assert profiler.active_seconds() > 0.0
 
     def test_function_granularity_underreports_tight_loops(self):
@@ -230,21 +230,12 @@ class TestGeckoProfiler:
     def test_idle_time_produces_no_samples(self):
         session, profiler = self._profiled_session()
         session.run_script("var x = 1;")
-        before = len(profiler.profile.samples)
+        before = profiler.profile.sample_count
         session.idle(1000.0)
-        assert len(profiler.profile.samples) == before
-
-    def test_hottest_functions_named(self):
-        session, profiler = self._profiled_session()
-        session.run_script(
-            "function hot() { var s = 0; for (var i = 0; i < 200; i++) { s += Math.sin(i); } return s; }"
-            "for (var k = 0; k < 5; k++) { hot(); }"
-        )
-        names = [name for name, _ in profiler.profile.hottest_functions()]
-        assert any("hot" in name or "sin" in name or "(global)" in name for name in names)
+        assert profiler.profile.sample_count == before
 
     def test_reset_clears_samples(self):
         session, profiler = self._profiled_session()
         session.run_script("for (var i = 0; i < 500; i++) { Math.sqrt(i); }")
         profiler.reset()
-        assert profiler.profile.samples == [] and profiler.active_seconds() == 0.0
+        assert profiler.profile.sample_count == 0 and profiler.active_seconds() == 0.0

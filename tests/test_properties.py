@@ -129,14 +129,12 @@ def _loop_event(analyzer, kind, loop_id):
         analyzer.on_loop_exit(None, node, 0)
 
 
-@given(st.lists(_LOOP_EVENT, max_size=40), st.sampled_from([None, 1, 2]), st.booleans())
-@example(
-    [("enter", 1), ("enter", 2), ("enter", 1), ("exit", 1), ("exit", 2), ("exit", 1)], 1, False
-)
-def test_dependence_focus_open_count_tracks_the_stack(events, focus, incremental):
+@given(st.lists(_LOOP_EVENT, max_size=40), st.sampled_from([None, 1, 2]))
+@example([("enter", 1), ("enter", 2), ("enter", 1), ("exit", 1), ("exit", 2), ("exit", 1)], 1)
+def test_dependence_focus_open_count_tracks_the_stack(events, focus):
     """Push/iterate/pop sequences, recursive re-entry and pops of loops that
     are not open included: the O(1) focus count agrees with a stack scan."""
-    analyzer = DependenceAnalyzer(focus_loop_id=focus, incremental=incremental)
+    analyzer = DependenceAnalyzer(focus_loop_id=focus)
     for kind, loop_id in events:
         _loop_event(analyzer, kind, loop_id)
         entries = analyzer.stack.entries
@@ -145,6 +143,106 @@ def test_dependence_focus_open_count_tracks_the_stack(events, focus, incremental
         )
         if focus is not None:
             assert (analyzer._focus_open > 0) == analyzer.stack.contains(focus)
+
+
+class _NoEvictionAnalyzer(DependenceAnalyzer):
+    """Reference analyzer: keeps every stamp for its whole lifetime."""
+
+    def _evict_closed(self, loop_id):
+        pass
+
+
+class _Env:
+    """A stand-in scope: hashed by identity, like a live environment."""
+
+
+_ACCESS_EVENT = st.one_of(
+    _LOOP_EVENT,
+    st.tuples(st.sampled_from(["object", "env"])),
+    st.tuples(st.sampled_from(["drop_object", "drop_env"]), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["var_write", "var_read"]), st.integers(0, 3)),
+    # Drawn twice as often: a flow check needs a write and a later read.
+    st.tuples(st.sampled_from(["prop_write", "prop_read"]), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["prop_write", "prop_read"]), st.integers(0, 3)),
+)
+
+
+def _nest(body):
+    """One loop instance: enter, an iterate before each body, exit."""
+    return st.builds(
+        lambda loop_id, iterations: [("enter", loop_id)]
+        + [event for block in iterations for event in [("iterate", loop_id)] + block]
+        + [("exit", loop_id)],
+        st.sampled_from([1, 2, 3]),
+        st.lists(body, max_size=3),
+    )
+
+
+def _concat(blocks):
+    return [event for block in blocks for event in block]
+
+
+#: Flat event sequences: mostly well-nested loops around accesses, plus
+#: stray loop events (exits of loops that are not open included).
+_EVENTS = st.recursive(
+    st.lists(_ACCESS_EVENT, max_size=4),
+    lambda blocks: st.lists(st.one_of(blocks, _nest(blocks)), max_size=4).map(_concat),
+    max_leaves=40,
+)
+
+
+@given(_EVENTS, st.sampled_from([None, 1, 2]))
+@settings(deadline=None, max_examples=300)
+@example(  # a flow dependence across iterations, an inner nest closed between
+    [("enter", 1), ("iterate", 1), ("prop_write", 0), ("enter", 2), ("exit", 2)]
+    + [("iterate", 1), ("prop_read", 0), ("exit", 1)],
+    None,
+)
+@example(  # a scope stamped by an outer loop, written after the focus nest reopens
+    [("enter", 1), ("iterate", 1), ("env",), ("enter", 2), ("exit", 2), ("enter", 2)]
+    + [("iterate", 2), ("var_write", 1), ("exit", 2), ("exit", 1)],
+    2,
+)
+def test_dependence_eviction_does_not_change_the_report(events, focus):
+    """Closed-nest eviction is sound: both analyzers see one event stream
+    (the same objects and scopes, some of them dropped by the program
+    between events) and report identically."""
+    analyzers = [DependenceAnalyzer(focus_loop_id=focus), _NoEvictionAnalyzer(focus_loop_id=focus)]
+    objects, envs = [], []
+    node = SimpleNamespace(node_id=0, line=7)
+    for event in [("object",), ("env",)] + events:
+        kind = event[0]
+        if kind in ("enter", "iterate", "exit"):
+            for analyzer in analyzers:
+                _loop_event(analyzer, *event)
+        elif kind == "object":
+            objects.append(JSObject())
+            for analyzer in analyzers:
+                analyzer.on_object_created(None, objects[-1], node)
+        elif kind == "env":
+            envs.append(_Env())
+            for analyzer in analyzers:
+                analyzer.on_env_created(None, envs[-1], "function")
+        elif kind == "drop_object" and objects:
+            del objects[event[1] % len(objects)]
+        elif kind == "drop_env" and envs:
+            del envs[event[1] % len(envs)]
+        elif kind.startswith("var_") and envs:
+            env = envs[event[1] % len(envs)]
+            for analyzer in analyzers:
+                if kind == "var_write":
+                    analyzer.on_var_write(None, "v", env, None, node)
+                else:
+                    analyzer.on_var_read(None, "v", env, node)
+        elif kind.startswith("prop_") and objects:
+            obj = objects[event[1] % len(objects)]
+            for analyzer in analyzers:
+                if kind == "prop_write":
+                    analyzer.on_prop_write(None, obj, "x", None, node)
+                else:
+                    analyzer.on_prop_read(None, obj, "x", node)
+    evicting, reference = analyzers
+    assert evicting.report() == reference.report()
 
 
 def _shifted(entries, bump):

@@ -350,11 +350,10 @@ class TestCrossFormatIdentity:
         from repro.jsvm.hooks import TraceReplayer
 
         TraceReplayer(trace).replay([batch_profiler])
-        first = LoopProfiler(incremental=True)
+        first = LoopProfiler()
         replayer = TraceReplayer(source)
-        assert replayer.streaming
         replayer.replay([first])
-        second = LoopProfiler(incremental=True)
+        second = LoopProfiler()
         replayer.replay([second])
         assert rows(first) == rows(batch_profiler)
         assert rows(second) == rows(batch_profiler)

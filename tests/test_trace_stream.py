@@ -5,9 +5,8 @@ The load-bearing claims of the bounded-memory replay layer:
 * a chunked trace file round-trips to the exact digest of the trace it was
   written from, and a trace that fits in one chunk stays byte-compatible
   with the legacy ``Trace.save`` format;
-* replaying a streamed source produces payloads **byte-identical** to batch
-  replay of the same trace — including the incremental analyzer/profiler
-  modes the streamed path switches on;
+* replaying a chunked file source produces payloads **byte-identical** to
+  replaying the resident trace it was written from (a single chunk);
 * every corruption mode (truncation mid-chunk, missing footer, sequence
   gaps, intern deltas referencing unseen ids) raises
   :class:`TraceFormatError` — and an insufficient recorded mask raises
@@ -36,7 +35,6 @@ from repro.jsvm.hooks import (
     TraceWriter,
     open_trace_source,
     stream_chunk_events,
-    stream_replay_enabled,
 )
 from repro.workloads import get_workload
 
@@ -186,31 +184,6 @@ class TestStreamedPayloadIdentity:
         assert streamed.report_text == batch.report_text
         assert streamed.provenance == batch.provenance
 
-    def test_env_knob_forces_streaming_even_for_resident_traces(
-        self, recorded, monkeypatch
-    ):
-        _workload, trace = recorded
-        monkeypatch.delenv("REPRO_STREAM_REPLAY", raising=False)
-        assert not stream_replay_enabled()
-        assert not TraceReplayer(trace).streaming
-        monkeypatch.setenv("REPRO_STREAM_REPLAY", "1")
-        assert stream_replay_enabled()
-        assert TraceReplayer(trace).streaming
-
-    def test_forced_streaming_session_payloads_match_default(
-        self, recorded, monkeypatch
-    ):
-        _workload, trace = recorded
-        session = AnalysisSession()
-        batch = session.replay_trace(trace, COMPOSED)
-        monkeypatch.setenv("REPRO_STREAM_REPLAY", "1")
-        streamed = session.replay_trace(trace, COMPOSED)
-        for mode in (LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE):
-            assert payload_digest(streamed.payloads[mode]) == payload_digest(
-                batch.payloads[mode]
-            ), f"{mode} forced-streaming replay diverged"
-        assert streamed.report_text == batch.report_text
-
     def test_file_source_always_streams_and_is_replayable_twice(
         self, recorded, chunked_path
     ):
@@ -219,16 +192,15 @@ class TestStreamedPayloadIdentity:
         _workload, trace = recorded
         source = open_trace_source(chunked_path)
         replayer = TraceReplayer(source)
-        assert replayer.streaming
 
         def rows(profiler):
             return [profiler.profiles[k].as_row() for k in sorted(profiler.profiles)]
 
         batch_profiler = LoopProfiler()
         TraceReplayer(trace).replay([batch_profiler])
-        first = LoopProfiler(incremental=True)
+        first = LoopProfiler()
         replayer.replay([first])
-        second = LoopProfiler(incremental=True)
+        second = LoopProfiler()
         replayer.replay([second])  # same replayer: re-iterates the file
         assert rows(first) == rows(batch_profiler)
         assert rows(second) == rows(batch_profiler)
