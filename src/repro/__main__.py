@@ -329,7 +329,6 @@ def _cmd_serve(session, args) -> int:
         default_tier=args.tier,
         request_log=args.request_log,
         port_file=args.port_file,
-        use_pool=args.use_pool,
     )
 
 
@@ -411,28 +410,6 @@ def _cmd_submit(session, args) -> int:
     return 2 if failures else 0
 
 
-def _add_pool_flags(subparser: argparse.ArgumentParser) -> None:
-    """``--pool`` / ``--no-pool``: persistent worker-pool runtime toggle.
-
-    The default (``None``) defers to the ``REPRO_ENGINE_POOL`` environment
-    variable, so the flags override the environment in either direction.
-    """
-    group = subparser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--pool",
-        dest="use_pool",
-        action="store_true",
-        default=None,
-        help="run analyses on the persistent worker pool (default: REPRO_ENGINE_POOL)",
-    )
-    group.add_argument(
-        "--no-pool",
-        dest="use_pool",
-        action="store_false",
-        help="force fork-per-batch fan-out even when REPRO_ENGINE_POOL=1",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -479,13 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also replay chunks in forked OS processes for wall-clock numbers",
     )
-    _add_pool_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_experiments = subparsers.add_parser(
         "experiments", help="run every experiment (the full reproduction)"
     )
-    _add_pool_flags(p_experiments)
     p_experiments.set_defaults(func=_cmd_experiments)
 
     p_report = subparsers.add_parser(
@@ -495,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--workloads", nargs="*", default=None, help="restrict the batch to these workloads"
     )
-    _add_pool_flags(p_report)
     p_report.set_defaults(func=_cmd_report)
 
     p_trace = subparsers.add_parser(
@@ -595,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--request-log", action="store_true", help="log every HTTP request to stderr"
     )
-    _add_pool_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = subparsers.add_parser(
@@ -665,10 +638,7 @@ def main(argv=None) -> int:
 
     restore_sigterm = _install_sigterm_handler()
     try:
-        with AnalysisSession(
-            default_tier=getattr(args, "tier", None),
-            use_pool=getattr(args, "use_pool", None),
-        ) as session:
+        with AnalysisSession(default_tier=getattr(args, "tier", None)) as session:
             return args.func(session, args)
     except KeyboardInterrupt:
         # SIGINT or SIGTERM mid-run: cleanup already ran while unwinding;

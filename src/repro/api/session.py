@@ -86,7 +86,6 @@ class AnalysisSession:
         max_nests_per_app: int = 5,
         trace_store: Optional[TraceStore] = None,
         default_tier: Optional[str] = None,
-        use_pool: Optional[bool] = None,
     ) -> None:
         #: Execution-tier policy for runs whose spec leaves ``tier`` unset
         #: (``None`` = the VM default, honouring ``REPRO_FORCE_CLOSURE_TIER``).
@@ -108,7 +107,6 @@ class AnalysisSession:
                 coverage_target=coverage_target,
                 max_nests_per_app=max_nests_per_app,
                 trace_store=self.trace_store,
-                use_pool=use_pool,
             )
         self.closed = False
 
@@ -396,12 +394,15 @@ class AnalysisSession:
         ``mask`` defaults to the pipeline's union event mask, so the stored
         trace replays every shipped tracer (and every per-nest dependence
         focus).  The trace lands in the session's
-        :class:`~repro.engine.cache.TraceStore` and is returned.
+        :class:`~repro.engine.cache.TraceStore` and is returned.  A trace
+        already stored, or recorded by a pool worker during a case-study
+        batch (see :meth:`AnalysisPipeline.fetch_trace`), is not recorded
+        again.
         """
         if self.closed:
             raise RuntimeError("AnalysisSession is closed")
         workload = self.resolve_workload(workload)
-        trace = self.pipeline.record_trace_pooled(workload, mask)
+        trace = self.pipeline.fetch_trace(workload, mask)
         if trace is not None:
             return trace
         runner = self.pipeline.make_runner()
@@ -436,10 +437,7 @@ class AnalysisSession:
             strategy=spec.speculate_strategy or "block",
             use_processes=spec.speculate_processes,
         )
-        pool = self.pipeline.shared_pool() if options.use_processes else None
-        executor = SpeculativeExecutor(
-            script_cache=self.script_cache, options=options, pool=pool
-        )
+        executor = SpeculativeExecutor(script_cache=self.script_cache, options=options)
         _analysis, speculation = self.pipeline.analyze_with_speculation(workload, executor)
         return speculation
 

@@ -11,26 +11,23 @@ scale, leaving the *what* (the four-step methodology itself) to
   loop-profile → dependence → parallel model) for one workload;
 * :class:`AnalysisPipeline` — the batch driver: per-workload stage
   scheduling, result caching keyed by the requested workload set, and
-  ``multiprocessing`` fan-out across workloads.
+  fan-out across workloads on the persistent :class:`WorkerPool`.
 """
 
 from .cache import ScriptCache, source_digest, workload_fingerprint
 from .pipeline import AnalysisPipeline, PipelineResult, resolve_worker_count
 from .stages import Stage, default_stages, run_stages
 from .workerpool import (
-    POOL_ENV_VAR,
     PoolTask,
     PoolUnavailableError,
     UnknownWorkloadError,
     WorkerCrashError,
     WorkerPool,
-    pool_env_enabled,
 )
 
 __all__ = [
     "AnalysisPipeline",
     "PipelineResult",
-    "POOL_ENV_VAR",
     "PoolTask",
     "PoolUnavailableError",
     "ScriptCache",
@@ -39,7 +36,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerPool",
     "default_stages",
-    "pool_env_enabled",
     "resolve_worker_count",
     "run_stages",
     "source_digest",

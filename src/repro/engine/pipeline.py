@@ -1,29 +1,24 @@
 """Batch driver for the case-study methodology.
 
-:class:`AnalysisPipeline` replaces two pieces of ad-hoc seed machinery:
-
-* the ``_CASE_STUDY_CACHE`` module global in ``experiments/registry.py`` —
-  result caching is now owned by a pipeline object (keyed by the requested
-  workload set), so tests and tools can hold independent pipelines;
-* the serial ``for workload in workloads`` loop in
-  ``analysis/casestudy.py`` — batches fan out across workloads with
-  ``multiprocessing`` when more than one CPU is available.
+:class:`AnalysisPipeline` owns result caching (keyed by the requested
+workload set, so tests and tools can hold independent pipelines) and the
+fan-out of a batch across workloads.
 
 Workloads are independent by construction (each analysis run uses a fresh
-browser session and virtual clock), so fan-out cannot change results — the
-pipeline ships workload *names* to forked workers and reassembles the
-analyses in request order.  When the pipeline's :class:`TraceStore` already
-holds a trace for a workload, that (plain-data, picklable) trace ships with
-the payload and the worker replays it instead of re-executing the guest.
-Traces the workers record flow *back*: each worker returns any trace it had
-to record alongside its analysis and the pipeline puts it into the parent
-store, so no workload is ever recorded twice across batches.
+browser session and virtual clock), so fan-out cannot change results.  The
+persistent :class:`~repro.engine.workerpool.WorkerPool` is the only way a
+batch uses more than one process: the pipeline ships workload *names* to
+its long-lived workers and reassembles the analyses in request order.  A
+batch runs serially in-process instead when the resolved width is 1, when
+the platform cannot ``fork``, or when a workload is not registered (or is
+still unknown to the workers after one pool refresh).
 
-Two fan-out backends exist.  The default forks a throwaway
-``multiprocessing.Pool`` per batch; with ``use_pool=True`` (or
-``REPRO_ENGINE_POOL=1``) batches run on the pipeline's persistent
-:class:`~repro.engine.workerpool.WorkerPool`, whose long-lived workers keep
-bytecode and traces cached across batches (see :mod:`repro.engine.workerpool`).
+Traces stay where they are recorded.  When the parent's
+:class:`TraceStore` already holds a workload's trace, it ships to the first
+worker that needs it; otherwise the worker records it and keeps it, and only
+the analysis comes back.  :meth:`AnalysisPipeline.fetch_trace` hands a
+worker-held trace to the parent on demand (``AnalysisSession.record_trace``
+uses it), so a trace recorded by a batch is never recorded again.
 """
 
 from __future__ import annotations
@@ -35,18 +30,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.casestudy import ApplicationAnalysis, CaseStudyRunner, pipeline_trace_mask
 from ..analysis.tables import CaseStudyTables, build_tables
-from ..jsvm.hooks import Trace
+from ..jsvm.hooks import Trace, _warn_rejected_env
 from .cache import BytecodeCache, ScriptCache, TraceStore, workload_fingerprint
 from .stages import prepare_workload_bytecode, run_stages
 from .workerpool import (
     PoolTask,
     PoolUnavailableError,
+    PoolWorkerContext,
     UnknownWorkloadError,
     WorkerPool,
-    analyze_task,
-    pool_env_enabled,
-    record_task,
-    reset_worker_signals,
+    fetch_trace_task,
+    resolve_workload,
 )
 
 logger = logging.getLogger(__name__)
@@ -67,55 +61,50 @@ def resolve_worker_count(workers: Optional[int], task_count: int) -> int:
     """Decide the fan-out width for ``task_count`` independent workloads.
 
     ``workers`` wins when given; otherwise the ``REPRO_ENGINE_WORKERS``
-    environment variable; otherwise the CPU count.  The result is clamped to
-    ``task_count`` and is at least 1.
+    environment variable; otherwise the CPU count.  An unset or empty
+    variable silently picks the CPU count; a present but invalid value
+    (unparseable, or not a positive integer) is rejected with a one-time
+    warning naming it, then falls back to the CPU count.  The result is
+    clamped to ``task_count`` and is at least 1.
     """
     if workers is None:
-        env_value = os.environ.get(WORKERS_ENV_VAR)
-        if env_value is not None:
-            try:
-                workers = int(env_value)
-            except ValueError:
-                workers = None
-        if workers is None:
-            workers = os.cpu_count() or 1
+        default = os.cpu_count() or 1
+        raw = os.environ.get(WORKERS_ENV_VAR, "")
+        try:
+            workers = int(raw) if raw else default
+        except ValueError:
+            workers = 0
+        if workers <= 0:
+            _warn_rejected_env(WORKERS_ENV_VAR, raw, default)
+            workers = default
     return max(1, min(workers, task_count))
 
 
-def _analyze_in_worker(payload) -> Tuple[ApplicationAnalysis, Optional[Trace]]:
-    """Fan-out entry point: analyze one workload by name in a fresh process.
+def _analyze_in_worker(payload) -> ApplicationAnalysis:
+    """Pool task body: analyze one workload on a worker's persistent caches.
 
-    ``trace`` is an optional pre-recorded :class:`~repro.jsvm.hooks.Trace`
-    shipped from the parent's store; when present the worker seeds its own
-    store with it and the replay-backed stages run without any guest
-    execution in the worker.  ``bytecode`` is the parent's compiled-script
-    payload (``{path: bytes}``): the worker absorbs it into its own
-    :class:`BytecodeCache` so freshly parsed scripts come pre-lowered.
-
-    Returns ``(analysis, recorded_trace)`` where ``recorded_trace`` is the
-    union-mask trace this worker had to record because the parent shipped
-    none — the parent puts it into its own store so later batches (and the
-    serial path) replay instead of re-executing the guest.
+    ``payload`` is ``(context, heavy, name, runner_kwargs)``: the worker's
+    :class:`~repro.engine.workerpool.PoolWorkerContext`, the heavy payload
+    the parent shipped (``None`` when this worker already holds the
+    workload; else a dict with the parent's ``trace`` or on-disk
+    ``trace_ref``, if any, and the compiled ``bytecode``), the registered
+    workload name and the :class:`CaseStudyRunner` options.  A trace the
+    worker has to record stays in its own store; only the analysis returns.
     """
-    name, runner_kwargs, trace, bytecode = payload
-    from ..workloads import get_workload
+    context, heavy, name, runner_kwargs = payload
+    workload = resolve_workload(name)
+    context.install(workload, heavy)
+    return run_stages(context.runner(runner_kwargs), workload)
 
-    workload = get_workload(name)
-    trace_store = TraceStore()
-    if trace is not None:
-        trace_store.put(trace)
-    bytecode_cache = BytecodeCache()
-    bytecode_cache.absorb(workload.scripts, bytecode)
-    runner = CaseStudyRunner(
-        script_cache=ScriptCache(bytecode_cache=bytecode_cache),
-        trace_store=trace_store,
-        **runner_kwargs,
-    )
-    analysis = run_stages(runner, workload)
-    recorded = None
-    if trace is None:
-        recorded = trace_store.find(workload_fingerprint(workload), pipeline_trace_mask())
-    return analysis, recorded
+
+def _analysis_task(context: PoolWorkerContext, heavy, name: str, runner_kwargs):
+    """Pool entry point; resolves ``_analyze_in_worker`` at call time.
+
+    The module attribute is looked up per task, so a wrapper installed on
+    it before the pool forks (the benchmark's span tracing) sees every
+    analysis.
+    """
+    return _analyze_in_worker((context, heavy, name, runner_kwargs))
 
 
 class AnalysisPipeline:
@@ -134,11 +123,6 @@ class AnalysisPipeline:
         a fresh one is created if omitted.
     cores / coverage_target / max_nests_per_app:
         Passed through to the :class:`CaseStudyRunner` the pipeline creates.
-    use_pool:
-        ``True`` routes fan-out (and trace recording) through a persistent
-        :class:`~repro.engine.workerpool.WorkerPool` owned by this pipeline;
-        ``False`` forces the legacy fork-per-batch pool; ``None`` (default)
-        defers to the ``REPRO_ENGINE_POOL`` environment variable.
     """
 
     def __init__(
@@ -150,7 +134,6 @@ class AnalysisPipeline:
         max_nests_per_app: int = 5,
         trace_store: Optional[TraceStore] = None,
         bytecode_cache: Optional[BytecodeCache] = None,
-        use_pool: Optional[bool] = None,
     ) -> None:
         self.workers = workers
         self.bytecode_cache = bytecode_cache if bytecode_cache is not None else BytecodeCache()
@@ -165,17 +148,10 @@ class AnalysisPipeline:
             "max_nests_per_app": max_nests_per_app,
         }
         self._results: Dict[Tuple[str, ...], PipelineResult] = {}
-        self.use_pool = use_pool
         self._pool: Optional[WorkerPool] = None
         self._pool_failed = False
 
     # ------------------------------------------------------------------ pool
-    def pool_active(self) -> bool:
-        """Whether batches should run on the persistent worker pool."""
-        if self.use_pool is not None:
-            return self.use_pool
-        return pool_env_enabled()
-
     def _ensure_pool(self) -> Optional[WorkerPool]:
         """The pipeline's persistent pool, created lazily (None if impossible)."""
         if self._pool is not None and not self._pool.closed:
@@ -187,17 +163,10 @@ class AnalysisPipeline:
         except PoolUnavailableError:
             self._pool_failed = True
             logger.warning(
-                "persistent worker pool unavailable on this platform; "
-                "falling back to fork-per-batch fan-out"
+                "worker pool unavailable on this platform; running batches serially"
             )
             return None
         return self._pool
-
-    def shared_pool(self) -> Optional[WorkerPool]:
-        """The live pool for co-tenants (speculation chunks), if pool mode is on."""
-        if not self.pool_active():
-            return None
-        return self._ensure_pool()
 
     def close(self) -> None:
         """Release the persistent pool (idempotent); cached results survive."""
@@ -266,61 +235,56 @@ class AnalysisPipeline:
         return analysis, state["speculation"]
 
     def analyze_many(self, workloads: Sequence) -> List[ApplicationAnalysis]:
-        """Analyze a batch of workloads, fanning out when it pays off.
+        """Analyze a batch of workloads, on the worker pool when it applies.
 
-        Fan-out requires every workload to be reconstructible by name in the
-        worker process (i.e. registered in the workload registry); otherwise,
-        or when only one worker resolves, the batch runs serially in-process.
+        The pool needs every workload to be reconstructible by name in the
+        worker (i.e. registered in the workload registry) and a resolved
+        width above 1; otherwise, or when the pool cannot run the batch, the
+        batch runs serially in-process.
         """
         workloads = list(workloads)
         if not workloads:
             return []
-        workers = resolve_worker_count(self.workers, len(workloads))
-        fan_out_ok = workers > 1 and self._registry_reconstructible(workloads)
-        if fan_out_ok and self.pool_active():
-            analyses = self._fan_out_pooled(workloads)
-            if analyses is not None:
-                return analyses
-        if fan_out_ok:
-            analyses = self._fan_out(workloads, workers)
+        if resolve_worker_count(self.workers, len(workloads)) > 1 and (
+            self._registry_reconstructible(workloads)
+        ):
+            analyses = self._run_on_pool(workloads)
             if analyses is not None:
                 return analyses
         runner = self.make_runner()
         return [run_stages(runner, workload) for workload in workloads]
 
-    def record_trace_pooled(self, workload, mask=None) -> Optional[Trace]:
-        """Record (or replay from a worker cache) one trace on the pool.
+    def fetch_trace(self, workload, mask: Optional[int] = None) -> Optional[Trace]:
+        """The trace a live pool worker recorded for ``workload``, or ``None``.
 
-        Returns ``None`` when the pool path does not apply — pool mode off,
-        pool unavailable, or the workload not reconstructible by name — and
-        the caller should record in-process instead.  The returned trace is
-        already ``put`` into the parent store.
+        Batch workers keep the traces they record.  When a live worker
+        reported holding ``workload``'s fingerprint and its trace covers
+        ``mask``, the trace is fetched from that worker and put into the
+        parent store.  Without a pool (the daemon never runs batches), or
+        when no worker holds a covering trace, this returns ``None`` and the
+        caller records in-process.
         """
-        if not self.pool_active():
-            return None
-        if not self._registry_reconstructible([workload]):
-            return None
-        pool = self._ensure_pool()
+        pool = self._pool
         if pool is None:
             return None
-        if mask is None:
-            mask = pipeline_trace_mask()
-        existing = self.trace_store.find(workload_fingerprint(workload), mask)
-        if existing is not None:
-            return existing
-        task = self._pool_task(workload, record_task, extra_args=(mask,))
+        fingerprint = workload_fingerprint(workload)
+        if not any(fingerprint in keys for keys in pool.holdings().values()):
+            return None
+        mask = mask if mask is not None else pipeline_trace_mask()
+        trace = self.trace_store.find(fingerprint, mask)
+        if trace is not None:
+            return trace
+        task = PoolTask(
+            fn=fetch_trace_task,
+            args=(fingerprint, mask),
+            cache_key=fingerprint,
+            label=workload.name,
+        )
         try:
-            try:
-                trace = pool.run_tasks([task])[0]
-            except UnknownWorkloadError:
-                pool.refresh()
-                task.attempts = 0
-                trace = pool.run_tasks([task])[0]
-        except (PoolUnavailableError, UnknownWorkloadError, RuntimeError) as exc:
-            if pool.closed or isinstance(exc, (PoolUnavailableError, UnknownWorkloadError)):
-                logger.warning("pool trace recording unavailable (%s); recording in-process", exc)
-                return None
-            raise
+            trace = pool.run_tasks([task])[0]
+        except RuntimeError as exc:  # closed pool, crashed worker
+            logger.warning("could not fetch a trace from the worker pool (%s)", exc)
+            return None
         if trace is not None:
             self.trace_store.put(trace)
         return trace
@@ -335,7 +299,6 @@ class AnalysisPipeline:
         AND same sources) — not merely share a name with it.
         """
         from ..workloads import get_workload, workload_names
-        from .cache import workload_fingerprint
 
         known = set(workload_names())
         for workload in workloads:
@@ -345,11 +308,11 @@ class AnalysisPipeline:
                 return False
         return True
 
-    def _pool_task(self, workload, fn, extra_args: tuple = ()) -> PoolTask:
-        """Build one persistent-pool task for ``workload``.
+    def _pool_task(self, workload) -> PoolTask:
+        """Build one analysis task for ``workload``.
 
         The heavy payload (trace + bytecode) is assembled lazily at dispatch
-        and only shipped to workers that do not already cache this
+        and only shipped to workers that do not already hold this
         workload's fingerprint.
         """
         fingerprint = workload_fingerprint(workload)
@@ -372,93 +335,35 @@ class AnalysisPipeline:
             return {"trace": trace, "trace_ref": trace_ref, "bytecode": bytecode}
 
         return PoolTask(
-            fn=fn,
-            args=(workload.name, self._runner_kwargs) + extra_args,
+            fn=_analysis_task,
+            args=(workload.name, self._runner_kwargs),
             cache_key=fingerprint,
             heavy=heavy,
             label=workload.name,
         )
 
-    def _fan_out_pooled(self, workloads: Sequence) -> Optional[List[ApplicationAnalysis]]:
-        """Analyze ``workloads`` on the persistent pool; ``None`` on fallback.
+    def _run_on_pool(self, workloads: Sequence) -> Optional[List[ApplicationAnalysis]]:
+        """Analyze ``workloads`` on the persistent pool; ``None`` → run serially.
 
         A worker that cannot resolve a workload name (registered after the
         pool forked) triggers one pool refresh — respawned workers inherit
-        the current registry — before falling back to the legacy
-        fork-per-batch path, which forks fresh and always sees the registry.
+        the current registry — and one retry.
         """
         pool = self._ensure_pool()
         if pool is None:
             return None
-        tasks = [self._pool_task(workload, analyze_task) for workload in workloads]
+        tasks = [self._pool_task(workload) for workload in workloads]
         try:
             try:
-                outcomes = pool.run_tasks(tasks)
+                return pool.run_tasks(tasks)
             except UnknownWorkloadError:
                 pool.refresh()
                 for task in tasks:
                     task.attempts = 0
-                outcomes = pool.run_tasks(tasks)
+                return pool.run_tasks(tasks)
         except (PoolUnavailableError, UnknownWorkloadError):
             return None
         except RuntimeError:
             if pool.closed:
                 return None
             raise
-        analyses = []
-        for workload, outcome in zip(workloads, outcomes):
-            analysis, recorded = outcome
-            if recorded is not None and not self.trace_store.has(
-                workload_fingerprint(workload), recorded.mask
-            ):
-                self.trace_store.put(recorded)
-            analyses.append(analysis)
-        return analyses
-
-    def _fan_out(self, workloads: Sequence, workers: int) -> Optional[List[ApplicationAnalysis]]:
-        """Analyze ``workloads`` in a fork pool; ``None`` if the environment
-        cannot fan out (no fork / no pickling), in which case the caller runs
-        serially.  Analysis errors raised by workers propagate unchanged.
-        """
-        import multiprocessing
-        import pickle
-
-        mask = pipeline_trace_mask()
-        payloads = []
-        for workload in workloads:
-            trace = self.trace_store.find(workload_fingerprint(workload), mask)
-            bytecode = prepare_workload_bytecode(
-                self.script_cache, self.bytecode_cache, workload
-            )
-            payloads.append((workload.name, self._runner_kwargs, trace, bytecode))
-        try:
-            context = multiprocessing.get_context("fork")
-            pool = context.Pool(processes=workers, initializer=reset_worker_signals)
-        except (ImportError, OSError, ValueError):
-            return None
-        with pool:
-            try:
-                # One app per task: per-app times differ widely, and the default
-                # chunking pairs neighbours, which unbalances the workers.
-                outcomes = pool.map(_analyze_in_worker, payloads, chunksize=1)
-            except pickle.PicklingError:
-                # Results or payloads did not survive the process boundary.
-                # The workers may already have recorded traces — those died
-                # with the pool, but any traces the *parent* store gained
-                # before the batch still replay on the serial retry.
-                logger.warning(
-                    "fan-out results did not pickle; re-running %d workload(s) "
-                    "serially (parent-store traces will replay, worker-recorded "
-                    "ones are lost)",
-                    len(workloads),
-                )
-                return None
-        analyses = []
-        for workload, outcome in zip(workloads, outcomes):
-            analysis, recorded = outcome
-            if recorded is not None and not self.trace_store.has(
-                workload_fingerprint(workload), recorded.mask
-            ):
-                self.trace_store.put(recorded)
-            analyses.append(analysis)
-        return analyses

@@ -1,22 +1,23 @@
-"""Persistent worker-pool runtime for analysis fan-out and speculation chunks.
+"""Persistent worker pool: the one way the pipeline uses more than one process.
 
-The fork-per-batch model the pipeline started with (one throwaway
-``multiprocessing.Pool`` per batch) pays the full process-boundary tax every
-time: every batch re-forks, re-ships ~tens of MB of recorded traces, and the
-workers rebuild their script/bytecode/trace caches from nothing.  This module
-replaces it with a **persistent** pool:
+:class:`~repro.engine.pipeline.AnalysisPipeline` fans a case-study batch out
+across workloads on one :class:`WorkerPool`; a batch that cannot use it runs
+serially in-process.
 
-* Workers are long-lived processes spawned once per :class:`WorkerPool`
-  (lazily, on the first batch) and reused across batches.  Each worker owns a
-  persistent :class:`~repro.engine.cache.ScriptCache`,
+* Workers are long-lived processes forked once per pool (lazily, on the
+  first batch) and reused across batches.  Each worker owns a persistent
+  :class:`~repro.engine.cache.ScriptCache`,
   :class:`~repro.engine.cache.BytecodeCache` and
-  :class:`~repro.engine.cache.TraceStore`, so absorbed bytecode and replayed
-  traces are shipped **once per worker** and replayed from worker-local memory
-  on every later batch.
+  :class:`~repro.engine.cache.TraceStore`.  Bytecode and any trace the
+  parent already holds ship **once per worker**.
+* Workers keep the traces they record.  Nothing is pickled back but the
+  analysis; the parent learns which fingerprints a worker holds (its
+  ``cache_keys``, see :meth:`WorkerPool.holdings`) and fetches one trace
+  from its owner only when a caller asks for it.
 * Tasks flow through per-worker deques with fingerprint affinity (a task for
-  workload *F* prefers a worker that already caches *F*) and idle workers
-  steal from the longest sibling queue, so a batch of mixed-cost workloads
-  keeps every worker busy.
+  workload *F* goes to a worker that already holds *F*).  Idle workers drain
+  their own queue first, then steal from the longest sibling queue, so a
+  batch of mixed-cost workloads keeps every worker busy.
 * The parent and each worker speak a simple duplex pipe protocol.  The
   dispatch loop doubles as the heartbeat: it waits on worker pipes with a
   short timeout and polls ``Process.is_alive``; a dead worker's in-flight
@@ -24,14 +25,11 @@ replaces it with a **persistent** pool:
   twice ("poisoned") surfaces as a structured :class:`WorkerCrashError`, and
   :meth:`WorkerPool.close` is idempotent.
 * Speculation chunks (:mod:`repro.parallel.speculative`) hold unpicklable
-  interpreter clones and rely on fork-time memory inheritance, so they cannot
-  run on the persistent workers — :meth:`WorkerPool.run_inherited` runs them
-  in transient forked children clamped to the CPU count, under the same
-  crash accounting.
+  interpreter clones and rely on fork-time memory inheritance, so they run
+  through :func:`run_inherited`, which forks transient children at call
+  time and needs no pool.
 
-Enable per pipeline/session with ``use_pool=True`` (CLI ``--pool``) or
-globally with ``REPRO_ENGINE_POOL=1``; ``--no-pool`` / ``use_pool=False``
-wins over the environment.
+``REPRO_ENGINE_WORKERS`` (or an explicit ``width``) sizes the pool.
 """
 
 from __future__ import annotations
@@ -44,15 +42,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from ..analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
-from .cache import BytecodeCache, ScriptCache, TraceStore, workload_fingerprint
-from .stages import run_stages
+from ..analysis.casestudy import CaseStudyRunner
+from .cache import BytecodeCache, ScriptCache, TraceStore
 
 logger = logging.getLogger(__name__)
-
-#: ``1`` routes pipeline fan-out, serve recordings and process speculation
-#: through the persistent pool (explicit ``use_pool`` arguments win).
-POOL_ENV_VAR = "REPRO_ENGINE_POOL"
 
 #: How long the dispatch loop waits on worker pipes before re-polling
 #: liveness — the heartbeat interval of the crash detector.
@@ -61,11 +54,6 @@ _HEARTBEAT_SECONDS = 0.2
 #: A task whose worker dies is retried this many times before it is declared
 #: poisoned and surfaced as a :class:`WorkerCrashError`.
 _TASK_RETRIES = 1
-
-
-def pool_env_enabled() -> bool:
-    """Whether the environment opts analysis into the persistent pool."""
-    return os.environ.get(POOL_ENV_VAR) == "1"
 
 
 class PoolUnavailableError(RuntimeError):
@@ -78,7 +66,7 @@ class UnknownWorkloadError(RuntimeError):
     Workers fork once and inherit the registry as of that moment; a workload
     registered later is unknown to them.  The pipeline reacts by
     :meth:`WorkerPool.refresh`-ing (respawning workers against the current
-    registry) and retrying once before falling back to fork-per-batch.
+    registry) and retrying once before running the batch serially.
     """
 
 
@@ -179,7 +167,8 @@ class PoolWorkerContext:
         )
 
 
-def _resolve_workload(name: str):
+def resolve_workload(name: str):
+    """The registered workload ``name`` as this worker's registry knows it."""
     from ..workloads import get_workload
 
     try:
@@ -191,34 +180,9 @@ def _resolve_workload(name: str):
         ) from exc
 
 
-def analyze_task(context: PoolWorkerContext, heavy, name: str, runner_kwargs):
-    """Pool task: full stage schedule for one workload on worker-local caches.
-
-    Returns ``(analysis, trace_back)`` where ``trace_back`` is the recorded
-    union-mask trace whenever the parent asked this worker to source it
-    (``heavy`` shipped without a trace) — the parent puts it into its own
-    store so no later batch re-records the guest (anywhere).
-    """
-    workload = _resolve_workload(name)
-    context.install(workload, heavy)
-    analysis = run_stages(context.runner(runner_kwargs), workload)
-    trace_back = None
-    if (
-        heavy is not None
-        and heavy.get("trace") is None
-        and heavy.get("trace_ref") is None
-    ):
-        trace_back = context.trace_store.find(
-            workload_fingerprint(workload), pipeline_trace_mask()
-        )
-    return analysis, trace_back
-
-
-def record_task(context: PoolWorkerContext, heavy, name: str, runner_kwargs, mask):
-    """Pool task: obtain (record or replay from worker cache) one trace."""
-    workload = _resolve_workload(name)
-    context.install(workload, heavy)
-    return context.runner(runner_kwargs).obtain_trace(workload, mask)
+def fetch_trace_task(context: PoolWorkerContext, heavy, fingerprint: str, mask: int):
+    """Pool task: hand over a trace this worker holds (``None`` if it has none)."""
+    return context.trace_store.find(fingerprint, mask)
 
 
 def _portable_error(exc: BaseException) -> BaseException:
@@ -308,7 +272,7 @@ def _worker_main(conn, parent_end, stale_conns) -> None:
 
 
 def _inherited_main(thunk, conn) -> None:
-    """Transient child for :meth:`WorkerPool.run_inherited` (fork-inherited)."""
+    """Transient child for :func:`run_inherited` (fork-inherited)."""
     reset_worker_signals()
     try:
         value = thunk()
@@ -341,11 +305,11 @@ class _WorkerHandle:
 class WorkerPool:
     """Long-lived fork-based worker pool with work stealing and crash recovery.
 
-    One pool per :class:`~repro.engine.pipeline.AnalysisPipeline` (and hence
-    per serve daemon).  Batches are driven synchronously by the submitting
-    thread under an internal lock, so concurrent submitters (serve handler
-    threads) serialize at batch granularity — the workers themselves stay
-    busy across batches.
+    One pool per :class:`~repro.engine.pipeline.AnalysisPipeline`, forked on
+    its first multi-workload batch.  Batches are driven synchronously by the
+    submitting thread under an internal lock, so concurrent submitters
+    serialize at batch granularity — the workers themselves stay busy across
+    batches.
     """
 
     def __init__(self, width: Optional[int] = None) -> None:
@@ -380,6 +344,15 @@ class WorkerPool:
         """PIDs of the live workers (spawned so far; may be fewer than width)."""
         with self._lock:
             return [h.process.pid for h in self._handles if h.process.is_alive()]
+
+    def holdings(self) -> Dict[int, frozenset]:
+        """Cache keys (trace fingerprints) each live worker holds, by PID."""
+        with self._lock:
+            return {
+                h.process.pid: frozenset(h.cache_keys)
+                for h in self._handles
+                if h.process.is_alive()
+            }
 
     def ping(self) -> bool:
         """Heartbeat round-trip through every live worker."""
@@ -575,16 +548,19 @@ class WorkerPool:
             return True
 
         while done < len(tasks):
-            # Fill idle workers from their own queues, stealing when empty.
+            # Idle workers drain their own queues first, so a task placed by
+            # affinity runs on the worker that holds its trace; only then do
+            # workers still idle steal from the longest sibling queue.
+            for handle in list(self._handles):
+                while handle.inflight is None and handle.queue:
+                    if not dispatch(handle, handle.queue.popleft()):
+                        break
             for handle in list(self._handles):
                 while handle.inflight is None:
-                    if handle.queue:
-                        task = handle.queue.popleft()
-                    else:
-                        victims = [h for h in self._handles if h.queue]
-                        if not victims:
-                            break
-                        task = max(victims, key=lambda h: len(h.queue)).queue.pop()
+                    victims = [h for h in self._handles if h.queue]
+                    if not victims:
+                        break
+                    task = max(victims, key=lambda h: len(h.queue)).queue.pop()
                     if not dispatch(handle, task):
                         break
             if done >= len(tasks):
@@ -625,61 +601,58 @@ class WorkerPool:
             raise errors[min(errors)]
         return results
 
-    # ------------------------------------------------- fork-inherited chunks
-    def run_inherited(self, thunks: Sequence[Callable[[], Any]]) -> List[Any]:
-        """Run thunks in transient forked children (state passes by fork).
 
-        For work that cannot cross a pickle boundary — speculation chunk
-        contexts hold live interpreter clones — children fork *at call time*
-        so the thunks inherit the caller's memory.  Concurrency is clamped to
-        the CPU count.  Each entry of the returned list is the thunk's value,
-        the exception it raised, or :class:`WorkerCrashError` if its child
-        died without reporting.
-        """
-        from multiprocessing.connection import wait as connection_wait
+# ---------------------------------------------------------------------------
+# fork-inherited chunks
+# ---------------------------------------------------------------------------
+def run_inherited(thunks: Sequence[Callable[[], Any]]) -> List[Any]:
+    """Run thunks in transient forked children (state passes by fork).
 
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            limit = max(1, min(len(thunks), os.cpu_count() or 1))
-            results: List[Any] = [None] * len(thunks)
-            index = 0
-            active: List[tuple] = []
-            while index < len(thunks) or active:
-                while index < len(thunks) and len(active) < limit:
-                    parent_conn, child_conn = self._context.Pipe(duplex=False)
-                    process = self._context.Process(
-                        target=_inherited_main,
-                        args=(thunks[index], child_conn),
-                        daemon=True,
-                        name="repro-pool-chunk",
-                    )
-                    process.start()
-                    child_conn.close()
-                    active.append((index, process, parent_conn))
-                    index += 1
-                ready = connection_wait(
-                    [conn for _i, _p, conn in active], timeout=_HEARTBEAT_SECONDS
-                )
-                still_active = []
-                for slot, process, conn in active:
-                    finished = conn in ready or not process.is_alive()
-                    if not finished:
-                        still_active.append((slot, process, conn))
-                        continue
-                    try:
-                        if conn in ready or conn.poll(0):
-                            message = conn.recv()
-                            results[slot] = (
-                                message[2] if message[0] == "result" else message[2]
-                            )
-                        else:
-                            results[slot] = WorkerCrashError(
-                                f"inherited chunk #{slot}", 1
-                            )
-                    except (EOFError, OSError):
-                        results[slot] = WorkerCrashError(f"inherited chunk #{slot}", 1)
-                    conn.close()
-                    process.join(timeout=2.0)
-                active = still_active
-            return results
+    For work that cannot cross a pickle boundary — speculation chunk
+    contexts hold live interpreter clones — children fork *at call time* so
+    the thunks inherit the caller's memory.  Concurrency is clamped to the
+    CPU count.  Each entry of the returned list is the thunk's value, the
+    exception it raised, or :class:`WorkerCrashError` if its child died
+    without reporting.  Raises :class:`PoolUnavailableError` without
+    ``fork`` support.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait as connection_wait
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise PoolUnavailableError("fork start method unavailable")
+    context = multiprocessing.get_context("fork")
+    limit = max(1, min(len(thunks), os.cpu_count() or 1))
+    results: List[Any] = [None] * len(thunks)
+    index = 0
+    active: List[tuple] = []
+    while index < len(thunks) or active:
+        while index < len(thunks) and len(active) < limit:
+            parent_conn, child_conn = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_inherited_main,
+                args=(thunks[index], child_conn),
+                daemon=True,
+                name="repro-pool-chunk",
+            )
+            process.start()
+            child_conn.close()
+            active.append((index, process, parent_conn))
+            index += 1
+        ready = connection_wait([conn for _i, _p, conn in active], timeout=_HEARTBEAT_SECONDS)
+        still_active = []
+        for slot, process, conn in active:
+            if conn not in ready and process.is_alive():
+                still_active.append((slot, process, conn))
+                continue
+            try:
+                if conn in ready or conn.poll(0):
+                    results[slot] = conn.recv()[2]
+                else:
+                    results[slot] = WorkerCrashError(f"inherited chunk #{slot}", 1)
+            except (EOFError, OSError):
+                results[slot] = WorkerCrashError(f"inherited chunk #{slot}", 1)
+            conn.close()
+            process.join(timeout=2.0)
+        active = still_active
+    return results

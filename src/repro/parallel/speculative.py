@@ -341,13 +341,8 @@ def _execute_chunk(context: _ChunkContext) -> None:
 
 
 # ---------------------------------------------------------------------------
-# multiprocessing replay (wall-clock mode)
+# process replay (wall-clock mode)
 # ---------------------------------------------------------------------------
-#: Fork-inheritance handoff: populated immediately before the worker pool is
-#: created, consumed by :func:`_mp_run_chunk` in the children, cleared after.
-_MP_CONTEXTS: List[_ChunkContext] = []
-
-
 def _chunk_report(context: _ChunkContext) -> Dict[str, Any]:
     """Replay one chunk (in whatever process we are in) and report plain data."""
     _execute_chunk(context)
@@ -360,94 +355,45 @@ def _chunk_report(context: _ChunkContext) -> Dict[str, Any]:
     }
 
 
-def _mp_run_chunk(index: int) -> Dict[str, Any]:
-    """Child-process entry point: replay one inherited chunk and report."""
-    return _chunk_report(_MP_CONTEXTS[index])
-
-
-def _assemble_wall_report(
-    mode: str, results: List[Dict[str, Any]], count: int, serial_wall_s: float, elapsed: float
+def _run_chunks_in_processes(
+    contexts: List[_ChunkContext], serial_wall_s: float
 ) -> Dict[str, Any]:
-    by_index = {entry["index"]: entry for entry in results}
-    chunk_walls = [by_index[i]["wall_s"] for i in range(count)]
-    max_wall = max(chunk_walls) if chunk_walls else 0.0
-    return {
-        "mode": mode,
-        "serial_wall_s": serial_wall_s,
-        "chunk_wall_s": chunk_walls,
-        "parallel_wall_s": max_wall,
-        "pool_wall_s": elapsed,
-        "wall_speedup": (serial_wall_s / max_wall) if max_wall > 0 else 1.0,
-        "child_digests": [by_index[i]["digest"] for i in range(count)],
-        "child_aborts": [by_index[i]["aborted"] for i in range(count)],
-    }
-
-
-def _run_chunks_on_pool(
-    contexts: List[_ChunkContext], serial_wall_s: float, pool
-) -> Dict[str, Any]:
-    """Replay every chunk in fork-inherited children of a persistent pool.
+    """Replay every chunk in forked OS processes; returns the wall report.
 
     Chunk contexts hold live interpreter clones and cannot cross a pickle
-    boundary, so the pool forks transient children *at call time*
-    (:meth:`~repro.engine.workerpool.WorkerPool.run_inherited`) — the thunks
-    inherit this process's memory, and concurrency is clamped to the CPU
-    count under the pool's crash accounting.
+    boundary, so each chunk runs in a child forked *at call time*
+    (:func:`~repro.engine.workerpool.run_inherited`) that inherits this
+    process's memory; concurrency is clamped to the CPU count.  Children
+    are forked *before* the in-process replay mutates the chunk forks, so
+    both replays start from identical state; the children's state digests
+    are cross-checked against the in-process ones by the caller.
     """
+    from ..engine.workerpool import run_inherited
+
     thunks = [
         (lambda context=context: _chunk_report(context)) for context in contexts
     ]
     started = time.perf_counter()
     try:
-        results = pool.run_inherited(thunks)
-    except RuntimeError as error:  # closed pool (or spawn failure) degrades
-        return {"error": f"pool chunk replay failed: {error}"}
+        results = run_inherited(thunks)
+    except (RuntimeError, OSError) as error:  # no fork support, or fork failed
+        return {"error": f"process chunk replay failed: {error}"}
     elapsed = time.perf_counter() - started
     failures = [entry for entry in results if isinstance(entry, BaseException)]
     if failures:
-        return {"error": f"pool chunk replay failed: {failures[0]}"}
-    return _assemble_wall_report("pool-fork", results, len(contexts), serial_wall_s, elapsed)
-
-
-def _run_chunks_in_processes(
-    contexts: List[_ChunkContext], serial_wall_s: float, pool=None
-) -> Dict[str, Any]:
-    """Replay every chunk in forked OS processes; returns the wall report.
-
-    Children are forked *before* the in-process replay mutates the chunk
-    forks, so both replays start from identical state; the children's state
-    digests are cross-checked against the in-process ones by the caller.
-    With a live persistent ``pool``, chunks run as the pool's fork-inherited
-    children instead of a throwaway ``multiprocessing.Pool``.
-    """
-    import multiprocessing
-    import os
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return {"error": "fork start method unavailable"}
-    if pool is not None and not pool.closed:
-        return _run_chunks_on_pool(contexts, serial_wall_s, pool)
-    global _MP_CONTEXTS
-    _MP_CONTEXTS = contexts
-    try:
-        # Chunk count follows the speculation's worker count; real process
-        # slots do not — never fork wider than the machine.
-        width = max(1, min(len(contexts), os.cpu_count() or 1))
-        pool_mp = multiprocessing.get_context("fork").Pool(processes=width)
-    except (ImportError, OSError, ValueError) as error:
-        _MP_CONTEXTS = []
-        return {"error": f"could not fork worker pool: {error}"}
-    try:
-        started = time.perf_counter()
-        results = pool_mp.map(_mp_run_chunk, range(len(contexts)))
-        elapsed = time.perf_counter() - started
-    except Exception as error:  # noqa: BLE001 - any child failure degrades to a report
-        return {"error": f"process replay failed: {error}"}
-    finally:
-        pool_mp.terminate()
-        pool_mp.join()
-        _MP_CONTEXTS = []
-    return _assemble_wall_report("fork", results, len(contexts), serial_wall_s, elapsed)
+        return {"error": f"process chunk replay failed: {failures[0]}"}
+    by_index = {entry["index"]: entry for entry in results}
+    chunk_walls = [by_index[i]["wall_s"] for i in range(len(contexts))]
+    max_wall = max(chunk_walls) if chunk_walls else 0.0
+    return {
+        "mode": "fork",
+        "serial_wall_s": serial_wall_s,
+        "chunk_wall_s": chunk_walls,
+        "parallel_wall_s": max_wall,
+        "pool_wall_s": elapsed,
+        "wall_speedup": (serial_wall_s / max_wall) if max_wall > 0 else 1.0,
+        "child_digests": [by_index[i]["digest"] for i in range(len(contexts))],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +416,6 @@ class SpeculationController:
         label: str = "",
         line: int = 0,
         kind: str = "for",
-        pool=None,
     ) -> None:
         self.target_loop_id = target_loop_id
         self.options = options
@@ -478,9 +423,6 @@ class SpeculationController:
         self.label = label or f"loop#{target_loop_id}"
         self.line = line
         self.kind = kind
-        #: Optional persistent :class:`~repro.engine.workerpool.WorkerPool`
-        #: whose fork-inherited children replace throwaway process pools.
-        self.pool = pool
         self.outcomes: List[SpeculationOutcome] = []
         self._active = False
         self._instances_seen = 0
@@ -573,7 +515,7 @@ class SpeculationController:
         if options.use_processes:
             for context in contexts:
                 context.want_digest = True
-            wall = _run_chunks_in_processes(contexts, serial_wall_s, pool=self.pool)
+            wall = _run_chunks_in_processes(contexts, serial_wall_s)
         for context in contexts:
             _execute_chunk(context)
         if wall is not None and "child_digests" in wall:
@@ -581,7 +523,6 @@ class SpeculationController:
                 child == parent.digest
                 for child, parent in zip(wall.pop("child_digests"), contexts)
             )
-            wall.pop("child_aborts", None)
 
         chunk_ms = [context.virtual_ms for context in contexts]
         aborted = [context for context in contexts if context.aborted]
@@ -826,14 +767,10 @@ class SpeculativeExecutor:
         script_cache=None,
         options: Optional[SpeculationOptions] = None,
         machine: MachineModel = PAPER_MACHINE,
-        pool=None,
     ) -> None:
         self.script_cache = script_cache
         self.options = options if options is not None else SpeculationOptions()
         self.machine = machine
-        #: Optional persistent :class:`~repro.engine.workerpool.WorkerPool`
-        #: handed to every controller for process-mode chunk replay.
-        self.pool = pool
 
     # ------------------------------------------------------------- one loop
     def speculate_loop(
@@ -893,7 +830,6 @@ class SpeculativeExecutor:
                 label=site.label,
                 line=site.line,
                 kind=site.kind,
-                pool=self.pool,
             )
 
         def attach(browser) -> None:

@@ -57,14 +57,11 @@ class ServeDaemon:
         queue_depth: int = 64,
         default_tier: Optional[str] = None,
         request_log: bool = False,
-        use_pool: Optional[bool] = None,
     ) -> None:
         self.store: TraceStore = (
             DiskTraceStore(store_dir) if store_dir is not None else TraceStore()
         )
-        self.session = AnalysisSession(
-            trace_store=self.store, default_tier=default_tier, use_pool=use_pool
-        )
+        self.session = AnalysisSession(trace_store=self.store, default_tier=default_tier)
         self.executor = SingleFlightExecutor(workers=workers, queue_depth=queue_depth)
         self.request_log = request_log
         self.started_at = time.monotonic()
@@ -367,7 +364,6 @@ def run_daemon(
     request_log: bool = False,
     port_file: Optional[str] = None,
     announce=print,
-    use_pool: Optional[bool] = None,
 ) -> int:
     """CLI body of ``python -m repro serve``: build, announce, serve, flush."""
     daemon = ServeDaemon(
@@ -378,7 +374,6 @@ def run_daemon(
         queue_depth=queue_depth,
         default_tier=default_tier,
         request_log=request_log,
-        use_pool=use_pool,
     )
     try:
         if port_file is not None:
@@ -393,5 +388,5 @@ def run_daemon(
         return 0
     finally:
         # Runs on normal shutdown *and* on SIGINT/SIGTERM (KeyboardInterrupt):
-        # stops the pool and flushes the disk store index via session.close().
+        # stops the executor and flushes the disk store index via session.close().
         daemon.close()

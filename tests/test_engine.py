@@ -139,6 +139,23 @@ class TestStageSchedule:
 
 
 class TestAnalysisPipeline:
+    def test_invalid_workers_env_warns_once_naming_the_value(self, monkeypatch, caplog):
+        import logging
+
+        import repro.jsvm.hooks as hooks
+
+        monkeypatch.setattr(hooks, "_warned_env_values", set())
+        cpus = os.cpu_count() or 1
+        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
+        with caplog.at_level(logging.WARNING, logger="repro.jsvm.hooks"):
+            assert resolve_worker_count(None, 64) == min(cpus, 64)
+            assert resolve_worker_count(None, 64) == min(cpus, 64)  # stays silent
+            monkeypatch.setenv(WORKERS_ENV_VAR, "")
+            assert resolve_worker_count(None, 64) == min(cpus, 64)  # unset: silent
+        warned = [r for r in caplog.records if WORKERS_ENV_VAR in r.getMessage()]
+        assert len(warned) == 1, "the rejected value must be reported exactly once"
+        assert "'lots'" in warned[0].getMessage()
+
     def test_worker_resolution_clamps_and_reads_env(self, monkeypatch):
         assert resolve_worker_count(4, 2) == 2
         assert resolve_worker_count(0, 5) == 1
@@ -167,35 +184,37 @@ class TestAnalysisPipeline:
     def test_fan_out_returns_worker_recorded_traces(self, tiny_workloads, monkeypatch):
         from repro.analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
 
-        # Regression: _analyze_in_worker built a throwaway TraceStore, so a
-        # cold parent store re-recorded every guest in every batch.  Workers
-        # now return the traces they record and the parent keeps them.
+        # Workers keep the traces they record: the batch ships back only the
+        # analyses, and the parent fetches a trace from its worker on demand
+        # instead of executing the guest again.
         pipeline = AnalysisPipeline(workers=2)
-        first = pipeline._fan_out(tiny_workloads, 2)
-        assert first is not None
-        for workload in tiny_workloads:
-            assert pipeline.trace_store.has(
-                workload_fingerprint(workload), pipeline_trace_mask()
-            ), f"worker-recorded trace for {workload.name} was discarded"
-        puts_after_first = pipeline.trace_store.puts
+        try:
+            first = pipeline.analyze_many(tiny_workloads)
+            assert pipeline.trace_store.puts == 0
 
-        def _no_recording(self, workload, mask=None):
-            raise AssertionError(
-                f"guest execution attempted for {workload.name} in a warm batch"
-            )
+            def _no_recording(self, workload, mask=None, drop_methods=None):
+                raise AssertionError(f"guest execution attempted for {workload.name}")
 
-        # The patched class is inherited by the second batch's forked
-        # workers, so *any* recording attempt — parent or worker — raises:
-        # the second batch must run purely from shipped traces.
-        monkeypatch.setattr(CaseStudyRunner, "record_trace", _no_recording)
-        second = pipeline._fan_out(tiny_workloads, 2)
-        assert second is not None
-        assert pipeline.trace_store.puts == puts_after_first
-        assert build_tables(second).render_table2() == build_tables(first).render_table2()
+            monkeypatch.setattr(CaseStudyRunner, "record_trace", _no_recording)
+            for workload in tiny_workloads:
+                trace = pipeline.fetch_trace(workload)
+                assert trace is not None, f"no worker held {workload.name}'s trace"
+                assert pipeline.trace_store.has(
+                    workload_fingerprint(workload), pipeline_trace_mask()
+                )
+            second = pipeline.analyze_many(tiny_workloads)
+            assert build_tables(second).render_table2() == build_tables(first).render_table2()
+        finally:
+            pipeline.close()
 
     def test_fan_out_matches_serial_results(self, tiny_workloads):
         serial = AnalysisPipeline(workers=1).analyze_many(tiny_workloads)
-        fanned = AnalysisPipeline(workers=2)._fan_out(tiny_workloads, 2)
+        pipeline = AnalysisPipeline(workers=2)
+        try:
+            fanned = pipeline.analyze_many(tiny_workloads)
+            assert pipeline._pool is not None, "a width-2 batch runs on the pool"
+        finally:
+            pipeline.close()
         serial_tables = build_tables(serial)
         fanned_tables = build_tables(fanned)
         assert fanned_tables.render_table2() == serial_tables.render_table2()
@@ -231,13 +250,15 @@ class TestAnalysisPipeline:
         get_default_pipeline().invalidate()
 
 
-# Runs a width-2 fork fan-out under the CLI's SIGTERM handler.  The pool
-# terminates its workers on exit; one that still ran the inherited handler
-# printed a KeyboardInterrupt traceback when the signal won the race against
-# its shutdown sentinel.  The probe reports the inherited handler
-# deterministically, since the race itself is rare.
+# Runs a width-2 pool fan-out under the CLI's SIGTERM handler.  A worker
+# that still ran the inherited handler printed a KeyboardInterrupt traceback
+# when a terminate won the race against its shutdown sentinel.  The probe
+# reports the inherited handler deterministically, since the race itself is
+# rare.  It replaces the module attribute ``_analyze_in_worker`` before the
+# pool forks and prints the PID of every process it runs in, which pins that
+# each pool analysis task calls that attribute (span tracing wraps it).
 _FAN_OUT_UNDER_CLI_HANDLER = """
-import signal, sys
+import os, signal, sys
 import repro.engine.pipeline as pipeline
 from repro.__main__ import _install_sigterm_handler
 from repro.workloads import get_workload
@@ -247,13 +268,19 @@ analyze = pipeline._analyze_in_worker
 def probed(payload):
     if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
         print("fan-out worker kept the CLI SIGTERM handler", file=sys.stderr)
+    print(f"probe {os.getpid()}", flush=True)
     return analyze(payload)
 
 pipeline._analyze_in_worker = probed
 _install_sigterm_handler()
+print(f"parent {os.getpid()}", flush=True)
 workloads = [get_workload("MyScript"), get_workload("Ace")]
 for _ in range(3):
-    analyses = pipeline.AnalysisPipeline(workers=2, use_pool=False).analyze_many(workloads)
+    fan_out = pipeline.AnalysisPipeline(workers=2)
+    try:
+        analyses = fan_out.analyze_many(workloads)
+    finally:
+        fan_out.close()
     assert [a.name for a in analyses] == ["MyScript", "Ace"]
 """
 
@@ -272,6 +299,11 @@ class TestFanOutWorkers:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stderr == ""
+        lines = completed.stdout.split()
+        parent = lines[lines.index("parent") + 1]
+        probes = [pid for word, pid in zip(lines, lines[1:]) if word == "probe"]
+        assert len(probes) == 6, completed.stdout
+        assert parent not in probes, "analysis tasks must run in pool workers"
 
     def test_width_two_keeps_input_order_and_serial_results(self):
         # Uneven per-workload cost, so completion order differs from input
@@ -281,7 +313,11 @@ class TestFanOutWorkers:
         try:
             workloads = [get_workload(name) for name in names]
             serial = AnalysisPipeline(workers=1).analyze_many(workloads)
-            fanned = AnalysisPipeline(workers=2, use_pool=False).analyze_many(workloads)
+            pipeline = AnalysisPipeline(workers=2)
+            try:
+                fanned = pipeline.analyze_many(workloads)
+            finally:
+                pipeline.close()
         finally:
             for name in names:
                 REGISTRY._factories.pop(name, None)

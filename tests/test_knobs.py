@@ -16,7 +16,6 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 
 EXPECTED_KNOBS = {
-    "REPRO_ENGINE_POOL",
     "REPRO_ENGINE_WORKERS",
     "REPRO_FORCE_CLOSURE_TIER",
     "REPRO_FORCE_DICT_SCOPES",

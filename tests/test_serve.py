@@ -595,14 +595,13 @@ class TestServeSubprocess:
     """The CI serve-smoke scenario: a real daemon process, signals included."""
 
     @pytest.fixture()
-    def live_daemon(self, tmp_path, request):
+    def live_daemon(self, tmp_path):
         import os
         import signal as signal_module
         import subprocess
         import sys
         from pathlib import Path
 
-        extra_args = list(getattr(request, "param", []))
         store_dir = tmp_path / "store"
         port_file = tmp_path / "port.txt"
         env = dict(os.environ)
@@ -620,8 +619,7 @@ class TestServeSubprocess:
                 str(store_dir),
                 "--port-file",
                 str(port_file),
-            ]
-            + extra_args,
+            ],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -684,28 +682,6 @@ class TestServeSubprocess:
             workload_fingerprint(get_workload("MyScript")),
         }
         assert stored == expected
-
-    @pytest.mark.parametrize("live_daemon", [["--pool"]], indirect=True)
-    def test_sigint_exits_130_with_pool_attached(self, live_daemon):
-        """The persistent worker pool must not break the SIGINT → 130
-        contract: pool workers ignore SIGINT and the daemon's unwind path
-        (session.close → pipeline.close) reaps them before exiting."""
-        process, port, store_dir, signal_module = live_daemon
-        client = ServeClient(f"http://127.0.0.1:{port}")
-        assert client.health()["status"] == "ok"
-        # Force a pool-routed recording so workers are actually alive.
-        response = client.analyze(workload="Normal Mapping", modes=["lightweight"])
-        assert response["result"]["workload"] == "Normal Mapping"
-        assert client.stats()["recordings"] == 1
-
-        process.send_signal(signal_module.SIGINT)
-        stdout, stderr = process.communicate(timeout=30)
-        assert process.returncode == 130, stderr
-        assert "serve: interrupted" in stderr
-        assert "Traceback" not in stderr
-        index = json.loads((store_dir / "index.json").read_text())
-        stored = {entry["fingerprint"] for entry in index["entries"]}
-        assert workload_fingerprint(get_workload("Normal Mapping")) in stored
 
 
 class TestLoadHelpers:

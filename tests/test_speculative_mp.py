@@ -27,7 +27,7 @@ pytestmark = [
 ]
 
 
-def run_mp_speculation(workers: int = 4, pool=None):
+def run_mp_speculation(workers: int = 4):
     interp = Interpreter()
     interp.run_source("var out = []; var i; for (i = 0; i < 400; i++) { out.push(0); }")
     program = parse(
@@ -41,7 +41,6 @@ def run_mp_speculation(workers: int = 4, pool=None):
         program.body[0].node_id,
         SpeculationOptions(workers=workers, use_processes=True),
         kind="for",
-        pool=pool,
     )
     interp.speculation = controller
     interp.run(program)
@@ -66,21 +65,6 @@ class TestProcessReplay:
         in-process replay (digest cross-check)."""
         _interp, outcome = run_mp_speculation()
         assert outcome.wall.get("digest_match") is True
-
-    def test_persistent_pool_chunks_commit_with_digest_match(self):
-        """Chunks replayed as a persistent pool's fork-inherited children
-        produce the same committed outcome and byte-identical digests."""
-        from repro.engine.workerpool import WorkerPool
-
-        with WorkerPool(width=4) as pool:
-            _interp, outcome = run_mp_speculation(pool=pool)
-        assert outcome.status == "committed"
-        wall = outcome.wall
-        assert wall is not None and "error" not in wall
-        assert wall["mode"] == "pool-fork"
-        assert len(wall["chunk_wall_s"]) == 4
-        assert wall["wall_speedup"] > 0
-        assert wall.get("digest_match") is True
 
     def test_serial_result_unaffected_by_process_mode(self):
         interp_mp, _ = run_mp_speculation()

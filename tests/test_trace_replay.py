@@ -20,7 +20,7 @@ from repro.api import AnalysisSession, RunSpec
 from repro.api.spec import DEPENDENCE, GECKO, LIGHTWEIGHT, LOOP_PROFILE
 from repro.browser.window import BrowserSession
 from repro.engine.cache import TraceStore, workload_fingerprint
-from repro.engine.pipeline import AnalysisPipeline, _analyze_in_worker
+from repro.engine.pipeline import AnalysisPipeline
 from repro.engine.stages import default_stages
 from repro.jsvm.hooks import (
     EV_FUNCTION,
@@ -264,10 +264,12 @@ class TestReplayBackedSchedule:
         assert analysis.table2.total_seconds > 0
 
     def test_fan_out_worker_replays_a_shipped_trace(self, monkeypatch):
-        # Ship a pre-recorded trace in the worker payload and forbid every
-        # execution path: the worker must complete on replay alone.
+        # The parent store holds the trace, so every pool worker gets it in
+        # its payload.  Every execution path is forbidden before the pool
+        # forks: the workers must complete on replay alone.
         workload = get_workload("Normal Mapping")
-        trace = CaseStudyRunner(trace_store=TraceStore()).record_trace(workload)
+        store = TraceStore()
+        store.put(CaseStudyRunner(trace_store=TraceStore()).record_trace(workload))
 
         def forbidden_record(self, *args, **kwargs):
             raise AssertionError("worker re-recorded a shipped trace")
@@ -277,18 +279,16 @@ class TestReplayBackedSchedule:
 
         monkeypatch.setattr(CaseStudyRunner, "record_trace", forbidden_record)
         monkeypatch.setattr(BrowserSession, "run_document", forbidden_run_document)
-        analysis, recorded = _analyze_in_worker(
-            (
-                "Normal Mapping",
-                {"cores": 8, "coverage_target": 0.80, "max_nests_per_app": 5},
-                trace,
-                {},
-            )
-        )
-        assert analysis.name == "Normal Mapping"
-        assert analysis.nests
-        # The trace was shipped in, not recorded here — nothing to send back.
-        assert recorded is None
+        pipeline = AnalysisPipeline(workers=2, trace_store=store)
+        try:
+            analyses = pipeline.analyze_many([workload, workload])
+            assert pipeline._pool is not None, "the batch must run on the pool"
+            assert pipeline._pool.traces_shipped == 2
+        finally:
+            pipeline.close()
+        assert [analysis.name for analysis in analyses] == ["Normal Mapping"] * 2
+        assert all(analysis.nests for analysis in analyses)
+        assert analyses[0].table2 == analyses[1].table2
 
 
 class TestSharedDependencePass:

@@ -1,10 +1,11 @@
 """Tests for the persistent worker-pool runtime (engine/workerpool.py).
 
-Lifecycle coverage the ISSUE requires: worker crash mid-task → reassignment,
-poisoned task → structured error, double ``close()`` idempotence, pool
-survives an analysis error without leaking processes — plus the pipeline
-integration (pooled fan-out byte-identical to serial, traces cached across
-batches so the second batch performs zero guest executions).
+Lifecycle coverage: worker crash mid-task → reassignment, poisoned task →
+structured error, double ``close()`` idempotence, pool survives an analysis
+error without leaking processes — plus the pipeline integration (pooled
+fan-out byte-identical to serial; workers keep the traces they record, the
+parent fetches one on demand, and a second batch performs zero guest
+executions).
 """
 
 import os
@@ -15,14 +16,16 @@ import pytest
 from repro.analysis.casestudy import CaseStudyRunner
 from repro.analysis.tables import build_tables
 from repro.engine import AnalysisPipeline
+from repro.analysis.casestudy import pipeline_trace_mask
+from repro.api import AnalysisSession
+from repro.engine.cache import workload_fingerprint
 from repro.engine.workerpool import (
-    POOL_ENV_VAR,
     PoolTask,
     PoolUnavailableError,
     UnknownWorkloadError,
     WorkerCrashError,
     WorkerPool,
-    pool_env_enabled,
+    run_inherited,
 )
 from repro.workloads import get_workload
 from repro.workloads.base import REGISTRY, Workload
@@ -159,34 +162,33 @@ class TestWorkerPoolLifecycle:
 
     def test_run_inherited_values_errors_and_crashes(self):
         state = {"base": 40}
-        with WorkerPool(width=2) as pool:
-            results = pool.run_inherited(
-                [
-                    lambda: state["base"] + 2,  # closures cross via fork, not pickle
-                    lambda: (_ for _ in ()).throw(RuntimeError("chunk failed")),
-                    lambda: os._exit(3),
-                ]
-            )
+        results = run_inherited(
+            [
+                lambda: state["base"] + 2,  # closures cross via fork, not pickle
+                lambda: (_ for _ in ()).throw(RuntimeError("chunk failed")),
+                lambda: os._exit(3),
+            ]
+        )
         assert results[0] == 42
         assert isinstance(results[1], RuntimeError)
         assert isinstance(results[2], WorkerCrashError)
 
-    def test_pool_env_knob(self, monkeypatch):
-        monkeypatch.delenv(POOL_ENV_VAR, raising=False)
-        assert not pool_env_enabled()
-        assert not AnalysisPipeline(workers=1).pool_active()
-        monkeypatch.setenv(POOL_ENV_VAR, "1")
-        assert pool_env_enabled()
-        assert AnalysisPipeline(workers=1).pool_active()
-        assert not AnalysisPipeline(workers=1, use_pool=False).pool_active()
+
+def _forbid_recording(monkeypatch):
+    """Make any in-process guest recording fail the test."""
+
+    def _no_recording(self, workload, mask=None, drop_methods=None):
+        raise AssertionError(f"guest execution attempted for {workload.name}")
+
+    monkeypatch.setattr(CaseStudyRunner, "record_trace", _no_recording)
 
 
 class TestPipelineOnPool:
     def test_pooled_fan_out_matches_serial_results(self, tiny_workloads):
         serial = AnalysisPipeline(workers=1).analyze_many(tiny_workloads)
-        pipeline = AnalysisPipeline(workers=2, use_pool=True)
+        pipeline = AnalysisPipeline(workers=2)
         try:
-            pooled = pipeline._fan_out_pooled(tiny_workloads)
+            pooled = pipeline._run_on_pool(tiny_workloads)
         finally:
             pipeline.close()
         assert pooled is not None
@@ -195,42 +197,52 @@ class TestPipelineOnPool:
         assert pooled_tables.render_table2() == serial_tables.render_table2()
         assert pooled_tables.render_table3() == serial_tables.render_table3()
 
-    def test_pooled_fan_out_returns_recorded_traces_to_parent(self, tiny_workloads):
-        pipeline = AnalysisPipeline(workers=2, use_pool=True)
-        try:
-            assert pipeline._fan_out_pooled(tiny_workloads) is not None
-            from repro.engine.cache import workload_fingerprint
-            from repro.analysis.casestudy import pipeline_trace_mask
+    def test_pooled_fan_out_returns_recorded_traces_to_parent(
+        self, tiny_workloads, monkeypatch
+    ):
+        """Worker-recorded traces reach the parent on demand, never per batch.
 
+        The batch adds nothing to the parent store; ``session.record_trace``
+        afterwards fetches each trace from the worker that recorded it, with
+        zero guest executions in the parent.
+        """
+        pipeline = AnalysisPipeline(workers=2)
+        with AnalysisSession(pipeline=pipeline) as session:
+            assert pipeline._run_on_pool(tiny_workloads) is not None
+            mask = pipeline_trace_mask()
             for workload in tiny_workloads:
-                assert pipeline.trace_store.has(
-                    workload_fingerprint(workload), pipeline_trace_mask()
-                ), f"worker-recorded trace for {workload.name} not returned"
-        finally:
-            pipeline.close()
+                assert not pipeline.trace_store.has(workload_fingerprint(workload), mask)
+            assert pipeline.trace_store.puts == 0
+
+            _forbid_recording(monkeypatch)
+            for workload in tiny_workloads:
+                trace = session.record_trace(workload)
+                assert trace.fingerprint == workload_fingerprint(workload)
+                assert pipeline.trace_store.has(trace.fingerprint, mask)
+            assert pipeline.trace_store.puts == len(tiny_workloads)
 
     def test_second_pool_batch_performs_zero_guest_executions(
         self, tiny_workloads, monkeypatch
     ):
-        pipeline = AnalysisPipeline(workers=2, use_pool=True)
+        """A warm batch replays on the workers that hold the traces.
+
+        A worker that recorded anything would report the fingerprint as
+        ``gained`` and so grow its holdings; they must not change, and each
+        trace stays on exactly one worker.
+        """
+        pipeline = AnalysisPipeline(workers=2)
         try:
-            first = pipeline._fan_out_pooled(tiny_workloads)
+            first = pipeline._run_on_pool(tiny_workloads)
             assert first is not None
-            puts_after_first = pipeline.trace_store.puts
+            holdings = pipeline._pool.holdings()
+            held = sorted(key for keys in holdings.values() for key in keys)
+            assert held == sorted(workload_fingerprint(w) for w in tiny_workloads)
 
-            def _no_recording(self, workload, mask=None):
-                raise AssertionError(
-                    f"guest execution attempted for {workload.name} in a warm batch"
-                )
-
-            monkeypatch.setattr(CaseStudyRunner, "record_trace", _no_recording)
-            # Respawned workers fork *after* the patch, so any recording
-            # attempt — parent or worker side — now raises.  The parent's
-            # warm store ships traces instead.
-            pipeline.shared_pool().refresh()
-            second = pipeline._fan_out_pooled(tiny_workloads)
+            _forbid_recording(monkeypatch)
+            second = pipeline._run_on_pool(tiny_workloads)
             assert second is not None
-            assert pipeline.trace_store.puts == puts_after_first
+            assert pipeline._pool.holdings() == holdings
+            assert pipeline.trace_store.puts == 0
             assert build_tables(second).render_table2() == build_tables(
                 first
             ).render_table2()
@@ -240,52 +252,49 @@ class TestPipelineOnPool:
     def test_warm_disk_backed_attach_ships_zero_trace_bytes(
         self, tiny_workloads, tmp_path
     ):
-        """Warm pool attach over a disk-backed store pipes no trace bytes.
+        """Pool attach over a disk-backed store pipes no trace bytes.
 
-        The parent hands workers a ``(path, digest)`` segment reference; the
-        respawned workers open (mmap) the shared segment themselves.  The
-        pool's bytes-shipped counter is the evidence: it must not move across
-        the warm batch, while the ref counter must.
+        ``record_trace`` fills the store first.  The parent then hands
+        workers a ``(path, digest)`` segment reference and the workers open
+        (mmap) the shared segment themselves, also after a respawn.  The
+        pool's bytes-shipped counter is the evidence: it stays at zero while
+        the ref counter moves.
         """
         from repro.serve.store import DiskTraceStore
 
         store = DiskTraceStore(tmp_path / "store")
-        pipeline = AnalysisPipeline(workers=2, use_pool=True, trace_store=store)
-        try:
-            first = pipeline._fan_out_pooled(tiny_workloads)
-            assert first is not None
-            pool = pipeline.shared_pool()
-            assert pool is not None
+        pipeline = AnalysisPipeline(workers=2, trace_store=store)
+        with AnalysisSession(pipeline=pipeline) as session:
+            for workload in tiny_workloads:
+                session.record_trace(workload)
             assert store.segment_count() >= len(tiny_workloads)
-            baseline_traces = pool.traces_shipped
-            baseline_bytes = pool.trace_bytes_shipped
-            baseline_refs = pool.trace_refs_shipped
+            first = pipeline._run_on_pool(tiny_workloads)
+            assert first is not None
+            pool = pipeline._pool
+            assert pool.trace_refs_shipped == len(tiny_workloads)
             # Respawned workers hold nothing: a warm attach must re-ship —
             # by reference, not by value.
             pool.refresh()
-            second = pipeline._fan_out_pooled(tiny_workloads)
+            second = pipeline._run_on_pool(tiny_workloads)
             assert second is not None
-            assert pool.trace_bytes_shipped == baseline_bytes
-            assert pool.traces_shipped == baseline_traces
-            assert pool.trace_refs_shipped >= baseline_refs + len(tiny_workloads)
+            assert pool.trace_bytes_shipped == 0
+            assert pool.traces_shipped == 0
+            assert pool.trace_refs_shipped == 2 * len(tiny_workloads)
             assert build_tables(second).render_table2() == build_tables(
                 first
             ).render_table2()
-        finally:
-            pipeline.close()
-            store.close()
 
     def test_workload_registered_after_spawn_triggers_refresh(self, tiny_workloads):
-        pipeline = AnalysisPipeline(workers=2, use_pool=True)
+        pipeline = AnalysisPipeline(workers=2)
         try:
-            assert pipeline._fan_out_pooled([tiny_workloads[0]]) is not None
+            assert pipeline._run_on_pool([tiny_workloads[0]]) is not None
             name = "engine-test-late"
             REGISTRY.register(name, lambda: _make_tiny_workload(name))
             try:
                 late = get_workload(name)
                 # Live workers predate the registration; the pipeline must
                 # refresh and retry rather than fail the batch.
-                analyses = pipeline._fan_out_pooled([tiny_workloads[0], late])
+                analyses = pipeline._run_on_pool([tiny_workloads[0], late])
                 assert analyses is not None
                 assert [a.name for a in analyses] == ["engine-test-a", name]
             finally:
@@ -294,10 +303,10 @@ class TestPipelineOnPool:
             pipeline.close()
 
     def test_analyze_many_uses_pool_and_close_reaps(self, tiny_workloads):
-        pipeline = AnalysisPipeline(workers=2, use_pool=True)
+        pipeline = AnalysisPipeline(workers=2)
         analyses = pipeline.analyze_many(tiny_workloads)
         assert [a.name for a in analyses] == [w.name for w in tiny_workloads]
-        pool = pipeline.shared_pool()
+        pool = pipeline._pool
         assert pool is not None
         pids = pool.worker_pids()
         assert pids, "analyze_many should have spawned pool workers"
@@ -305,21 +314,21 @@ class TestPipelineOnPool:
         assert _wait_dead(pids), f"pipeline.close() leaked pool workers: {pids}"
         pipeline.close()  # idempotent
 
-    def test_record_trace_pooled_roundtrip(self, tiny_workloads):
-        pipeline = AnalysisPipeline(workers=2, use_pool=True)
+    def test_fetch_trace_roundtrip(self, tiny_workloads, monkeypatch):
+        pipeline = AnalysisPipeline(workers=2)
         try:
             workload = tiny_workloads[0]
-            trace = pipeline.record_trace_pooled(workload)
+            # No pool yet: nothing to fetch, the caller records in-process.
+            assert pipeline.fetch_trace(workload) is None
+            assert pipeline._pool is None
+            assert pipeline.analyze_many(tiny_workloads) is not None
+            _forbid_recording(monkeypatch)
+            trace = pipeline.fetch_trace(workload)
             assert trace is not None
             assert pipeline.trace_store.puts == 1
             # Second call serves the parent store; no new put, same trace.
-            again = pipeline.record_trace_pooled(workload)
+            again = pipeline.fetch_trace(workload)
             assert again is trace or again.digest() == trace.digest()
             assert pipeline.trace_store.puts == 1
         finally:
             pipeline.close()
-
-    def test_pool_off_returns_none_from_pooled_paths(self, tiny_workloads):
-        pipeline = AnalysisPipeline(workers=2, use_pool=False)
-        assert pipeline.shared_pool() is None
-        assert pipeline.record_trace_pooled(tiny_workloads[0]) is None
