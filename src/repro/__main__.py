@@ -260,6 +260,8 @@ def _cmd_trace(session, args) -> int:
             "fingerprint": trace.fingerprint,
             "version": trace.version,
             "encoding": getattr(trace, "encoding", "json"),
+            "container": getattr(trace, "container", None),
+            "integrity": getattr(trace, "integrity", "digest-pass"),
             "mask": trace.mask,
             "mask_names": describe_mask(trace.mask),
             "ms_per_op": trace.ms_per_op,

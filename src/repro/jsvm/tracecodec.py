@@ -43,7 +43,17 @@ Wire layout (all framing little-endian, ``varint`` = LEB128)::
               positions-block clock-block operand-block{arity-2}
     block  := u8 kind u8 order u8 zlib_flag varint count varint len payload
     footer := footer_body u32 footer_body_len END_MAGIC(8)
-    footer_body := varint chunk_count varint total_events u64 offset{chunks}
+    footer_body := varint chunk_count varint total_events
+                   content_hash(32) u64 offset{chunks}
+
+``content_hash`` is the SHA-256 of the exact header JSON bytes followed by
+every chunk frame (``u32 body_len`` + body), i.e. of the file from byte 12
+up to the footer.  The reader checks it once per source before the first
+chunk decodes, and ``load()`` then adopts the header digest instead of
+re-deriving :meth:`Trace.digest` over every event.  Container-2 files have
+no ``content_hash`` and keep the full digest pass on ``load()``.  The hash
+protects the bytes, not the decoder: every structural and intern-index
+check still runs on each chunk.
 
 The chunk invariant matches the NDJSON stream: a chunk's events reference
 only intern entries carried by this or an earlier chunk, so replay stays
@@ -55,6 +65,7 @@ mirrors the :class:`~repro.jsvm.hooks.TraceFileSource` surface.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import io
 import json
 import mmap
@@ -78,8 +89,12 @@ BINARY_END_MAGIC = b"RPTRCEND"
 BINARY_TRACE_FORMAT = "repro-trace-bin"
 
 #: Version of the binary *container* (the record schema version rides in the
-#: header separately and still gates replay admission).
-BINARY_CONTAINER_VERSION = 2
+#: header separately and still gates replay admission).  Container 3 seals
+#: the file with a footer SHA-256; container 2 (no hash) stays readable.
+BINARY_CONTAINER_VERSION = 3
+
+#: Containers this reader accepts, mapped to the footer content-hash length.
+_CONTENT_HASH_BYTES = {2: 0, 3: hashlib.sha256().digest_size}
 
 # -- column block kinds ------------------------------------------------------
 _K_EMPTY = 0  #: zero values, zero payload
@@ -110,6 +125,26 @@ _U64 = struct.Struct("<Q")
 
 #: Columns smaller than this skip the zlib attempt (header cost dominates).
 _ZLIB_MIN = 64
+
+#: Most inflated bytes one value may take, per column kind: the exact width
+#: for fixed-size kinds, the LEB128 maximum for general varints, and a cap
+#: for JSON columns (a float's ``repr`` is at most 24 characters).  A
+#: compressed block declaring ``count`` values never inflates past
+#: ``count`` times this.
+_MAX_VALUE_BYTES = {
+    _K_VZ1: 1,
+    _K_VZN: 10,
+    _K_FIX8: 1,
+    _K_FIX16: 2,
+    _K_FIX32: 4,
+    _K_FIX64: 8,
+    _K_CLK: 8,
+    _K_CLKSHUF: 8,
+    _K_JSON: 64,
+}
+
+#: Cap on one chunk's inflated string table (real tables are kilobytes).
+_MAX_STRING_TABLE_BYTES = 8 << 20
 
 
 def _trace_error(message: str):
@@ -343,6 +378,27 @@ def _encode_string_table(strings: List[str]) -> bytes:
 # ===========================================================================
 # column decode
 # ===========================================================================
+def _inflate(payload: bytes, max_length: int, what: str) -> bytes:
+    """zlib-inflate ``payload`` into at most ``max_length`` bytes.
+
+    A stream that would inflate further raises before the excess is ever
+    allocated (zip-bomb defence), as does a stream that ends early.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        # max(…, 1): zlib reads a max_length of 0 as "no limit".
+        data = inflater.decompress(payload, max(max_length, 1))
+    except zlib.error as exc:
+        raise _trace_error(f"corrupt compressed {what}: {exc}") from exc
+    if inflater.unconsumed_tail:
+        raise _trace_error(
+            f"compressed {what} inflates past its {max_length}-byte bound"
+        )
+    if not inflater.eof:
+        raise _trace_error(f"compressed {what} is truncated")
+    return data
+
+
 def _decode_block(buf, pos: int):
     """Decode one column block → ``(values, next_pos, plain_ints)``.
 
@@ -366,10 +422,8 @@ def _decode_block(buf, pos: int):
         raise _trace_error("trace column block payload is truncated")
     payload = bytes(buf[pos:end])
     if zflag:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise _trace_error(f"corrupt compressed trace column: {exc}") from exc
+        bound = count * _MAX_VALUE_BYTES.get(kind, 0)
+        payload = _inflate(payload, bound, "trace column")
     if kind == _K_EMPTY:
         if count:
             raise _trace_error("empty trace column block declares values")
@@ -440,10 +494,7 @@ def _decode_string_table(buf, pos: int):
         raise _trace_error("trace string table payload is truncated")
     payload = bytes(buf[pos:end])
     if zflag:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise _trace_error(f"corrupt compressed string table: {exc}") from exc
+        payload = _inflate(payload, _MAX_STRING_TABLE_BYTES, "string table")
     strings: List[str] = []
     at = 0
     for _ in range(count):
@@ -764,7 +815,8 @@ class _CountingSink:
 
 
 def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> int:
-    """Serialize ``trace`` to ``path`` in the v2 binary container.
+    """Serialize ``trace`` to ``path`` in the v2 binary format, sealed with
+    the footer content hash (container :data:`BINARY_CONTAINER_VERSION`).
 
     Returns the number of chunks written.  ``chunk_events`` bounds events per
     chunk (``None``/non-positive → one chunk).  A ``.gz`` path gets a gzip
@@ -801,6 +853,7 @@ def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> 
     raw = gzip.open(path, "wb") if str(path).endswith(".gz") else io.open(path, "wb")
     offsets: List[int] = []
     written = 0
+    content_hash = hashlib.sha256(header_blob)
     with raw:
         sink = _CountingSink(raw)
         sink.write(BINARY_MAGIC)
@@ -811,12 +864,16 @@ def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> 
         ):
             offsets.append(sink.offset)
             body = _encode_chunk(trace, index, batch, strings, nodes, objects, env_delta)
-            sink.write(_U32.pack(len(body)))
+            frame_len = _U32.pack(len(body))
+            content_hash.update(frame_len)
+            content_hash.update(body)
+            sink.write(frame_len)
             sink.write(body)
             written += 1
         footer = bytearray()
         footer += _encode_varint(written)
         footer += _encode_varint(len(trace.events))
+        footer += content_hash.digest()
         for offset in offsets:
             footer += _U64.pack(offset)
         sink.write(bytes(footer))
@@ -835,7 +892,9 @@ class BinaryTraceSource:
 
     Mirrors the :class:`~repro.jsvm.hooks.TraceFileSource` surface: header
     provenance resident, ``chunks()`` re-iterable and validating, ``load()``
-    digest-checked, corruption always a ``TraceFormatError``.  The backing
+    digest-checked (through the footer content hash when the file carries
+    one, else by re-deriving the digest), corruption always a
+    ``TraceFormatError``.  The backing
     buffer is an ``mmap`` of the segment file whenever possible, so replaying
     processes share one page-cache copy of the trace (zero-copy pool
     attach); gzip-wrapped or in-memory payloads fall back to a plain bytes
@@ -909,10 +968,21 @@ class BinaryTraceSource:
             self.chunk_events = int(header["chunk_events"])
             self._chunk_count = int(header["chunks"])
             self._digest = str(header["digest"])
+            self.container = int(header["container"])
         except (KeyError, TypeError, ValueError) as exc:
             raise _trace_error(
                 f"malformed binary trace header in {self.path!r}: {exc}"
             ) from exc
+        hash_bytes = _CONTENT_HASH_BYTES.get(self.container)
+        if hash_bytes is None:
+            raise _trace_error(
+                f"binary trace {self.path!r} uses unsupported container "
+                f"{self.container} (this build reads "
+                f"{sorted(_CONTENT_HASH_BYTES)})"
+            )
+        #: How ``load()`` establishes the digest: ``"sha256"`` (footer hash
+        #: over the bytes) or ``"digest-pass"`` (re-derived over every event).
+        self.integrity = "sha256" if hash_bytes else "digest-pass"
 
         # Footer: offsets table anchored by the trailing magic.
         if bytes(buf[size - len(BINARY_END_MAGIC) :]) != BINARY_END_MAGIC:
@@ -932,10 +1002,12 @@ class BinaryTraceSource:
                 f"({chunk_count} chunks/{events_total} events vs "
                 f"{self._chunk_count}/{self.event_count})"
             )
-        if len(footer) - at != 8 * chunk_count:
+        if len(footer) - at != hash_bytes + 8 * chunk_count:
             raise _trace_error(
                 f"binary trace {self.path!r} footer offset index is malformed"
             )
+        self._content_hash = footer[at : at + hash_bytes] or None
+        at += hash_bytes
         offsets = [
             _U64.unpack_from(footer, at + 8 * i)[0] for i in range(chunk_count)
         ]
@@ -948,6 +1020,7 @@ class BinaryTraceSource:
                 )
             previous = offset
         self._offsets = offsets
+        self._header_end = header_end
         self._data_end = footer_start
 
     @classmethod
@@ -976,13 +1049,43 @@ class BinaryTraceSource:
         return self._chunk_count
 
     # ------------------------------------------------------------- streaming
+    def _check_content_hash(self) -> None:
+        """Compare the footer SHA-256 with the header and chunk-frame bytes.
+
+        Runs once per source: a match clears ``_content_hash``.  Files
+        without the hash (container 2) skip this."""
+        if self._content_hash is None:
+            return
+        # A memoryview slice hashes the mmap in place, without a copy.
+        with memoryview(self._buf)[12 : self._data_end] as hashed:
+            actual = hashlib.sha256(hashed).digest()
+        if actual != self._content_hash:
+            raise _trace_error(
+                f"binary trace {self.path!r} bytes do not match the SHA-256 "
+                "content digest sealed in its footer"
+            )
+        self._content_hash = None
+
     def chunks(self) -> Iterator[ColumnarChunk]:
-        """Stream validated chunks from the offset index; O(chunk) resident."""
+        """Stream validated chunks from the offset index; O(chunk) resident.
+
+        The footer content hash (when present) is checked before the first
+        chunk decodes."""
+        self._check_content_hash()
         buf = self._buf
         seen_strings = seen_nodes = seen_objects = seen_envs = 0
         total_events = 0
+        frame_start = self._header_end
         try:
             for expect_index, offset in enumerate(self._offsets):
+                # Frames tile the data region, so the offsets (outside the
+                # content hash) can only address the hashed frames.
+                if offset != frame_start:
+                    raise _trace_error(
+                        f"binary trace {self.path!r} offset index entry "
+                        f"{expect_index} does not start where the previous "
+                        "chunk ends"
+                    )
                 body_len = _U32.unpack(buf[offset : offset + 4])[0]
                 body_end = offset + 4 + body_len
                 if body_end > self._data_end:
@@ -990,6 +1093,7 @@ class BinaryTraceSource:
                         f"binary trace {self.path!r} chunk {expect_index} "
                         "overruns the data region"
                     )
+                frame_start = body_end
                 body = bytes(buf[offset + 4 : body_end])
                 chunk = _decode_chunk_body(
                     body,
@@ -1030,8 +1134,12 @@ class BinaryTraceSource:
         return self
 
     def load(self):
-        """Materialize the full :class:`~repro.jsvm.hooks.Trace`, checking
-        the header digest (content identity across encodings)."""
+        """Materialize the full :class:`~repro.jsvm.hooks.Trace` with the
+        header digest (content identity across encodings).
+
+        A sealed file's bytes passed the footer hash in :meth:`chunks`, so
+        the header digest is adopted as is; a container-2 file re-derives
+        the digest over every event and compares."""
         from .hooks import Trace
 
         trace = Trace(
@@ -1050,7 +1158,9 @@ class BinaryTraceSource:
             trace.nodes.extend(chunk.nodes)
             trace.objects.extend(chunk.objects)
             trace.events.extend(chunk.events)
-        if trace.digest() != self._digest:
+        if self.integrity == "sha256":
+            trace._digest_cache = self._digest
+        elif trace.digest() != self._digest:
             raise _trace_error(
                 f"binary trace {self.path!r} content does not match its "
                 "header digest"

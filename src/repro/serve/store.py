@@ -239,6 +239,16 @@ class DiskTraceStore(TraceStore):
                 pass
         return trace
 
+    def _covering_locked(self, fingerprint: str, required_mask: int) -> List[dict]:
+        """Index rows covering ``required_mask``, narrowest mask first."""
+        candidates = [
+            entry
+            for entry in self._index.get(fingerprint, ())
+            if not (required_mask & ~entry["mask"])
+        ]
+        candidates.sort(key=lambda entry: bin(entry["mask"]).count("1"))
+        return candidates
+
     def segment_ref(self, fingerprint: str, required_mask: int) -> Optional[dict]:
         """A ``(path, digest)`` reference to a covering on-disk segment.
 
@@ -249,13 +259,7 @@ class DiskTraceStore(TraceStore):
         file exists; the caller falls back to shipping the trace by value.
         """
         with self._io_lock:
-            candidates = [
-                entry
-                for entry in self._index.get(fingerprint, ())
-                if not (required_mask & ~entry["mask"])
-            ]
-            candidates.sort(key=lambda entry: bin(entry["mask"]).count("1"))
-            for entry in candidates:
+            for entry in self._covering_locked(fingerprint, required_mask):
                 path = self._segment_path(entry)
                 if path.is_file():
                     return {
@@ -276,32 +280,38 @@ class DiskTraceStore(TraceStore):
             )
 
     def _find_fallback(self, fingerprint: str, required_mask: int) -> Optional[Trace]:
-        """Load the cheapest covering segment from disk; corruption = miss."""
+        """Load the cheapest covering segment from disk; corruption = miss.
+
+        Segments decode **outside** ``_io_lock`` (a decode takes up to a
+        second or so, and every tenant's ``put``/``has``/``segment_ref``
+        needs the lock); the lock is re-taken only to count and to drop a
+        corrupt entry.  An entry a concurrent put evicted meanwhile is gone
+        from the index and is not counted as corrupt.
+        """
         with self._io_lock:
-            candidates = [
-                entry
-                for entry in self._index.get(fingerprint, ())
-                if not (required_mask & ~entry["mask"])
-            ]
-            candidates.sort(key=lambda entry: bin(entry["mask"]).count("1"))
-            for entry in candidates:
-                try:
-                    trace = Trace.load(str(self._segment_path(entry)))
-                except (TraceError, OSError, EOFError, zlib.error, ValueError):
-                    # gzip surfaces truncation as EOFError and stream damage
-                    # as zlib.error — neither is an OSError.
-                    self.corrupt_segments += 1
-                    self._drop_entry_locked(entry)
-                    continue
-                if trace.fingerprint != fingerprint or not trace.covers(required_mask):
-                    # The file does not hold what the index promised.
-                    self.corrupt_segments += 1
-                    self._drop_entry_locked(entry)
-                    continue
-                self.disk_hits += 1
+            candidates = self._covering_locked(fingerprint, required_mask)
+        for entry in candidates:
+            try:
+                trace = Trace.load(str(self._segment_path(entry)))
+            except (TraceError, OSError, EOFError, zlib.error, ValueError):
+                # gzip surfaces truncation as EOFError and stream damage
+                # as zlib.error — neither is an OSError.
+                trace = None
+            # A trace that is not what the index promised is corrupt too.
+            if (
+                trace is not None
+                and trace.fingerprint == fingerprint
+                and trace.covers(required_mask)
+            ):
+                with self._io_lock:
+                    self.disk_hits += 1
                 return trace
-            if self._dirty:
-                self._write_index_locked()
+            with self._io_lock:
+                rows = self._index.get(fingerprint, ())
+                if any(row is entry for row in rows):
+                    self.corrupt_segments += 1
+                    self._drop_entry_locked(entry)
+        self.flush()
         return None
 
     def fingerprints(self) -> List[str]:

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import math
+import os
+import tempfile
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings
@@ -12,9 +14,11 @@ from repro.analysis.amdahl import amdahl_speedup, parallel_fraction_needed
 from repro.ceres.dependence import DependenceAnalyzer
 from repro.ceres.loopstack import LoopStack, StackEntry, diff_stamp, is_problematic
 from repro.ceres.welford import OnlineStats
+from repro.jsvm.hooks import Trace
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.lexer import tokenize
 from repro.jsvm.tokens import TokenType
+from repro.jsvm.tracecodec import BinaryTraceSource, write_binary_trace
 from repro.jsvm.values import JSObject
 from repro.parallel.partition import assigned_iterations, block_partition, cyclic_partition
 from repro.survey.coding import jaccard
@@ -324,3 +328,91 @@ def test_guest_array_reduce_matches_python_sum(values):
 def test_guest_string_literals_round_trip(text):
     result = Interpreter().run_source(f'"{text}";')
     assert result == text
+
+
+# --------------------------------------------------------------------------- binary trace codec
+@st.composite
+def _well_formed_traces(draw):
+    """Random multi-chunk-sized traces whose every intern index is in range.
+
+    Clock stamps mix non-round floats with ints, and the free operand slot
+    (loop iteration/trip count, branch outcome) mixes ints with bools, so
+    the codec's JSON fallback columns run alongside the typed ones.
+    """
+    strings = draw(st.lists(st.text(max_size=8), min_size=1, max_size=6))
+    string_index = st.integers(0, len(strings) - 1)
+    nodes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 500), string_index).map(list),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    objects = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                string_index,
+                st.integers(-1, 10**6),
+                st.integers(-1, len(strings) - 1),
+            ).map(list),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    env_count = draw(st.integers(1, 5))
+    indexes = {
+        "node": st.integers(-1, len(nodes) - 1),
+        "obj": st.integers(0, len(objects) - 1),
+        "env": st.integers(0, env_count - 1),
+        "str": string_index,
+    }
+    clock = st.one_of(
+        st.floats(0.0, 1e9, allow_nan=False).filter(lambda v: v != int(v)),
+        st.integers(0, 10**9),
+    )
+    free = st.one_of(st.integers(-(2**40), 2**40), st.booleans())
+    events = []
+    for _ in range(draw(st.integers(0, 40))):
+        opcode = draw(st.sampled_from(sorted(Trace._RECORD_LAYOUT)))
+        arity, node_at, obj_at, env_at, string_at = Trace._RECORD_LAYOUT[opcode]
+        record = [opcode, draw(clock)]
+        for slot in range(2, arity):
+            kind = (
+                "node" if slot in node_at
+                else "obj" if slot in obj_at
+                else "env" if slot in env_at
+                else "str" if slot in string_at
+                else None
+            )
+            record.append(draw(indexes[kind] if kind else free))
+        events.append(tuple(record))
+    return Trace(
+        mask=draw(st.integers(0, 511)),
+        workload=draw(st.text(max_size=8)),
+        fingerprint="fp-property",
+        start_ms=0.0,
+        end_ms=draw(st.floats(0.0, 1e6, allow_nan=False)),
+        strings=strings,
+        nodes=nodes,
+        objects=objects,
+        env_count=env_count,
+        events=events,
+    )
+
+
+@given(_well_formed_traces(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=80, deadline=None)
+def test_binary_round_trip_re_derives_the_header_digest(trace, chunk_events):
+    # load() adopts the header digest once the footer hash passes, so this
+    # property is what pins that the codec loses no value on the way.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "property.trace.bin")
+        write_binary_trace(trace, path, chunk_events=chunk_events)
+        source = BinaryTraceSource(path)
+        try:
+            loaded = source.load()
+        finally:
+            source.close()
+    loaded._digest_cache = None
+    assert loaded.digest() == source.digest()

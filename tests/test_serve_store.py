@@ -452,6 +452,75 @@ class TestStoreConcurrency:
             assert reopened.find(f"fp-{index}", 0b0001) is not None
         assert reopened.corrupt_segments == 0
 
+    @staticmethod
+    def _gate_segment_loads(monkeypatch):
+        """Make ``Trace.load`` block until released; returns the events
+        (started, release)."""
+        started, release = threading.Event(), threading.Event()
+        original = Trace.load
+
+        def gated(path):
+            started.set()
+            assert release.wait(10.0), "gated segment load never released"
+            return original(path)
+
+        monkeypatch.setattr(Trace, "load", staticmethod(gated))
+        return started, release
+
+    def test_put_completes_while_another_segment_decodes(self, tmp_path, monkeypatch):
+        """A disk find decodes outside ``_io_lock``: a put for fingerprint B
+        must not wait for fingerprint A's segment decode."""
+        seeded = DiskTraceStore(tmp_path)
+        seeded.put(make_trace(0b0011, fingerprint="fp-a"))
+        seeded.close()
+        store = DiskTraceStore(tmp_path)  # index only: fp-a lives on disk
+        started, release = self._gate_segment_loads(monkeypatch)
+        found = []
+        finder = threading.Thread(
+            target=lambda: found.append(store.find("fp-a", 0b0001))
+        )
+        finder.start()
+        try:
+            assert started.wait(10.0)
+            putter = threading.Thread(
+                target=store.put, args=(make_trace(0b0001, fingerprint="fp-b"),)
+            )
+            putter.start()
+            putter.join(timeout=5.0)
+            put_done = not putter.is_alive()
+        finally:
+            release.set()
+        finder.join(timeout=10.0)
+        putter.join(timeout=10.0)
+        assert put_done, "put for fp-b waited on fp-a's segment decode"
+        assert not finder.is_alive()
+        assert found[0] is not None and found[0].fingerprint == "fp-a"
+        assert store.disk_hits == 1 and store.corrupt_segments == 0
+        assert store.has("fp-b", 0b0001)
+
+    def test_segment_evicted_during_decode_is_not_corrupt(self, tmp_path, monkeypatch):
+        seeded = DiskTraceStore(tmp_path)
+        seeded.put(make_trace(0b0001, fingerprint="fp-a"))
+        seeded.close()
+        store = DiskTraceStore(tmp_path)
+        started, release = self._gate_segment_loads(monkeypatch)
+        found = []
+        finder = threading.Thread(
+            target=lambda: found.append(store.find("fp-a", 0b0001))
+        )
+        finder.start()
+        try:
+            assert started.wait(10.0)
+            # A covering put evicts (and unlinks) the segment being decoded.
+            store.put(make_trace(0b0011, fingerprint="fp-a"))
+        finally:
+            release.set()
+        finder.join(timeout=10.0)
+        assert not finder.is_alive()
+        assert found == [None]  # the evicted file is gone: a plain miss
+        assert store.corrupt_segments == 0
+        assert [row["mask"] for row in store._index["fp-a"]] == [0b0011]
+
 
 # ------------------------------------------------------------- real recording
 class TestRealTraceRoundTrip:

@@ -3,9 +3,13 @@
 The load-bearing claims of the v2 encoding:
 
 * every corruption mode — bad magic, truncated column block, varint overrun,
-  footer/offset-index mismatch, content not matching the header digest —
-  raises :class:`TraceFormatError` with **no partial payload escaping**,
-  mirroring the NDJSON corruption matrix in ``test_trace_stream.py``;
+  footer/offset-index mismatch, bytes not matching the footer content hash,
+  content not matching the header digest, a compressed column inflating
+  past its bound — raises :class:`TraceFormatError` with **no partial
+  payload escaping**, mirroring the NDJSON corruption matrix in
+  ``test_trace_stream.py``;
+* container-2 files (no footer hash, committed under ``tests/fixtures/``)
+  still load through the full digest pass;
 * a v1 JSON/NDJSON file re-encoded as v2 round-trips to the exact same
   ``Trace.digest()`` and byte-identical analysis payloads (the v1 format
   stays readable forever; the knob only selects what gets *written*);
@@ -19,6 +23,9 @@ import hashlib
 import json
 import logging
 import struct
+import tracemalloc
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +44,11 @@ from repro.jsvm.tracecodec import (
     BINARY_END_MAGIC,
     BINARY_MAGIC,
     BinaryTraceSource,
+    _K_CLKSHUF,
+    _K_FIX32,
+    _K_VZ1,
     _decode_block,
+    _decode_string_table,
     _decode_varint,
     _encode_varint,
     _pack_block,
@@ -47,6 +58,10 @@ from repro.workloads import get_workload
 WORKLOAD = "MyScript"
 CHUNK_EVENTS = 512
 COMPOSED = RunSpec.composed(LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE)
+
+#: MyScript recorded by the container-2 writer (no footer content hash),
+#: 3 chunks of 4096 events.  Committed once; tests never write container 2.
+CONTAINER2_FIXTURE = Path(__file__).parent / "fixtures" / "myscript-container2.trace.bin"
 
 
 def payload_digest(payload) -> str:
@@ -82,6 +97,65 @@ def _header_span(data: bytes):
     return start, start + header_len
 
 
+def _footer_span(data: bytes):
+    """(footer_body_start, footer_body_end) byte offsets of a v2 file."""
+    end = len(data) - len(BINARY_END_MAGIC) - 4
+    (footer_len,) = struct.unpack_from("<I", data, end)
+    return end - footer_len, end
+
+
+def _nibble_swapped_digest(data: bytes) -> bytes:
+    """``data`` with one hex nibble of the header digest changed in place
+    (same length, so all framing stays valid)."""
+    start, header_end = _header_span(data)
+    header = json.loads(data[start:header_end].decode("utf-8"))
+    marker = f'"digest":"{header["digest"]}"'.encode("utf-8")
+    nibble_at = data.index(marker) + len(b'"digest":"')
+    mutated = bytearray(data)
+    mutated[nibble_at] = ord("0") if data[nibble_at] != ord("0") else ord("1")
+    return bytes(mutated)
+
+
+def _uncompressed_clock_byte(data: bytes) -> int:
+    """File offset of a low-mantissa byte in an uncompressed, byte-shuffled
+    clock column: flipping it yields another valid float, so the chunk
+    still decodes structurally."""
+    source = BinaryTraceSource.from_bytes(data)
+    for offset in source._offsets:
+        (body_len,) = struct.unpack_from("<I", data, offset)
+        body = data[offset + 4 : offset + 4 + body_len]
+        pos = _decode_varint(body, 0)[1]
+        pos = _decode_string_table(body, pos)[1]
+        for table_columns in (3, 4):  # nodes, objects
+            pos = _decode_varint(body, pos)[1]
+            for _ in range(table_columns):
+                pos = _decode_block(body, pos)[1]
+        pos = _decode_varint(body, pos)[1]  # env delta
+        pos = _decode_varint(body, pos)[1]  # event count
+        n_groups, pos = _decode_varint(body, pos)
+        for _ in range(n_groups):
+            opcode = body[pos]
+            pos = _decode_varint(body, pos + 1)[1]
+            pos = _decode_block(body, pos)[1]  # positions
+            kind, zflag = body[pos], body[pos + 2]
+            payload_at = _decode_varint(body, _decode_varint(body, pos + 3)[1])[1]
+            if kind == _K_CLKSHUF and not zflag:
+                return offset + 4 + payload_at
+            for _ in range(1, Trace._RECORD_LAYOUT[opcode][0]):
+                pos = _decode_block(body, pos)[1]
+    raise AssertionError("no uncompressed clock column in the fixture")
+
+
+def _zlib_bomb(inflated_mb: int) -> bytes:
+    """A zlib stream inflating to ``inflated_mb`` MiB of zeros, built
+    without ever holding the inflated bytes."""
+    squeezer = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    parts = [squeezer.compress(block) for _ in range(inflated_mb)]
+    parts.append(squeezer.flush())
+    return b"".join(parts)
+
+
 # ------------------------------------------------------------ format surface
 class TestBinaryFormat:
     def test_open_sniffs_binary_magic_and_exposes_header_identity(
@@ -107,6 +181,7 @@ class TestBinaryFormat:
     def test_materialized_round_trip_matches_digest(self, recorded, binary_path):
         _workload, trace = recorded
         loaded = open_trace_source(binary_path).load()
+        loaded._digest_cache = None  # re-derive, not the adopted header value
         assert loaded.digest() == trace.digest()
         assert loaded.to_dict() == trace.to_dict()
 
@@ -292,6 +367,129 @@ class TestBinaryFailureMatrix:
         bad.write_bytes(mutated)
         with pytest.raises(TraceVersionError):
             open_trace_source(str(bad))
+
+    def test_flipped_clock_byte_fails_the_content_hash(self, binary_path, tmp_path):
+        # A low-mantissa flip in an uncompressed clock column decodes
+        # structurally; before the footer hash only the digest pass caught it.
+        data = bytearray(open(binary_path, "rb").read())
+        data[_uncompressed_clock_byte(bytes(data))] ^= 0x01
+        bad = tmp_path / "flipped-clock.trace.bin"
+        bad.write_bytes(bytes(data))
+        unchecked = open_trace_source(str(bad))
+        unchecked._content_hash = None
+        unchecked.verify()  # structurally sound without the hash
+        with pytest.raises(TraceFormatError, match="digest"):
+            open_trace_source(str(bad)).verify()
+        with pytest.raises(TraceFormatError, match="digest"):
+            open_trace_source(str(bad)).load()
+
+    def test_flipped_footer_hash_byte_raises_format_error(self, binary_path, tmp_path):
+        data = bytearray(open(binary_path, "rb").read())
+        footer_start, _end = _footer_span(bytes(data))
+        _chunks, at = _decode_varint(data, footer_start)
+        _events, at = _decode_varint(data, at)
+        data[at + 5] ^= 0xFF  # inside the 32-byte content hash
+        bad = tmp_path / "bad-hash.trace.bin"
+        bad.write_bytes(bytes(data))
+        source = open_trace_source(str(bad))  # header + footer framing intact
+        with pytest.raises(TraceFormatError, match="digest"):
+            source.verify()
+        with pytest.raises(TraceFormatError, match="digest"):
+            source.load()
+
+    def test_edited_header_field_fails_the_content_hash(self, binary_path, tmp_path):
+        data = open(binary_path, "rb").read()
+        start, header_end = _header_span(data)
+        text = data[start:header_end].decode("utf-8")
+        header = json.loads(text)
+        edited = text.replace(f'"mask":{header["mask"]}', f'"mask":{header["mask"] - 1}')
+        assert len(edited) == len(text), "same length keeps every offset valid"
+        bad = tmp_path / "edited-mask.trace.bin"
+        bad.write_bytes(data[:start] + edited.encode("utf-8") + data[header_end:])
+        source = open_trace_source(str(bad))
+        assert source.mask == header["mask"] - 1
+        with pytest.raises(TraceFormatError, match="digest"):
+            source.verify()
+        with pytest.raises(TraceFormatError, match="digest"):
+            source.load()
+
+    def test_offsets_must_tile_the_chunk_frames(self, binary_path, tmp_path):
+        # The offset index is outside the content hash: an in-order,
+        # in-bounds entry that points inside a frame must still be refused.
+        data = bytearray(open(binary_path, "rb").read())
+        _footer_start, end = _footer_span(bytes(data))
+        chunks = open_trace_source(binary_path).chunk_count()
+        second_at = end - 8 * (chunks - 1)
+        (second,) = struct.unpack_from("<Q", data, second_at)
+        struct.pack_into("<Q", data, second_at, second + 1)
+        bad = tmp_path / "shifted-offset.trace.bin"
+        bad.write_bytes(bytes(data))
+        source = open_trace_source(str(bad))
+        with pytest.raises(TraceFormatError, match="does not start where"):
+            source.verify()
+
+    def test_unsupported_container_raises_format_error(self, binary_path, tmp_path):
+        data = open(binary_path, "rb").read()
+        marker = b'"container":3'
+        assert marker in data
+        bad = tmp_path / "container9.trace.bin"
+        bad.write_bytes(data.replace(marker, b'"container":9', 1))
+        with pytest.raises(TraceFormatError, match="container"):
+            open_trace_source(str(bad))
+
+    def test_container2_fixture_loads_through_the_digest_pass(self, tmp_path):
+        source = open_trace_source(str(CONTAINER2_FIXTURE))
+        assert isinstance(source, BinaryTraceSource)
+        assert (source.container, source.integrity) == (2, "digest-pass")
+        assert source.chunk_count() > 1
+        loaded = source.load()
+        assert loaded.digest() == source.digest()
+        # Re-encoding seals it (container 3) without changing the digest.
+        sealed = tmp_path / "resealed.trace.bin"
+        TraceWriter.write_trace(loaded, str(sealed), encoding="binary")
+        resealed = open_trace_source(str(sealed))
+        assert (resealed.container, resealed.integrity) == (3, "sha256")
+        assert resealed.digest() == source.digest()
+        assert resealed.load().to_dict() == loaded.to_dict()
+
+    def test_container2_fixture_with_swapped_digest_nibble_raises(self):
+        bad = _nibble_swapped_digest(CONTAINER2_FIXTURE.read_bytes())
+        source = BinaryTraceSource.from_bytes(bad)
+        source.verify()  # no footer hash: the bytes are structurally fine
+        with pytest.raises(TraceFormatError, match="digest"):
+            source.load()
+
+    @pytest.mark.parametrize("table", ["column", "string-table"])
+    def test_zip_bomb_fails_fast_without_inflating(self, table):
+        inflated_mb = 64
+        bomb = _zlib_bomb(inflated_mb)
+        if table == "column":
+            block = bytes((_K_FIX32, 0, 1)) + _encode_varint(4)
+            decode = _decode_block
+        else:
+            block = _encode_varint(4) + bytes((1,))
+            decode = _decode_string_table
+        block += _encode_varint(len(bomb)) + bomb
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError, match="bound"):
+                decode(block, 0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (inflated_mb << 20) // 2, f"decoder allocated {peak} bytes"
+
+    def test_truncated_compressed_stream_raises_format_error(self):
+        values = bytes(range(0, 200, 2))  # 100 zigzag single-byte varints
+        stream = zlib.compress(values)[:-4]  # drop the adler32 trailer
+        block = (
+            bytes((_K_VZ1, 0, 1))
+            + _encode_varint(len(values))
+            + _encode_varint(len(stream))
+            + stream
+        )
+        with pytest.raises(TraceFormatError, match="truncated"):
+            _decode_block(block, 0)
 
     def test_corrupt_binary_yields_no_session_payload(self, binary_path, tmp_path):
         data = bytearray(open(binary_path, "rb").read())
