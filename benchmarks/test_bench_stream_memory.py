@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
-from repro.jsvm.hooks import TraceWriter
+from repro.jsvm.tracecodec import write_binary_trace
 from repro.workloads.base import CATEGORY_GAMES, Workload
 from repro.workloads.fluidsim import FLUID_SOURCE
 
@@ -129,16 +129,12 @@ def test_bench_stream_memory_flat_at_10x(benchmark, tmp_path):
     trace_1x = runner.record_trace(_fluid_workload(4), mask)
     trace_10x = runner.record_trace(_fluid_workload(40), mask)
 
-    # Binary columnar files: the flat-RSS property must hold on the default
-    # (v2) encoding; the json streaming path is pinned by test_trace_stream.
+    # Binary columnar files (the only encoding written); the v1 streaming
+    # reader is pinned by test_trace_stream on a committed fixture.
     path_1x = str(tmp_path / "fluid-1x.trace.bin")
     path_10x = str(tmp_path / "fluid-10x.trace.bin")
-    chunks_1x = TraceWriter.write_trace(
-        trace_1x, path_1x, chunk_events=CHUNK_EVENTS, encoding="binary"
-    )
-    chunks_10x = TraceWriter.write_trace(
-        trace_10x, path_10x, chunk_events=CHUNK_EVENTS, encoding="binary"
-    )
+    chunks_1x = write_binary_trace(trace_1x, path_1x, chunk_events=CHUNK_EVENTS)
+    chunks_10x = write_binary_trace(trace_10x, path_10x, chunk_events=CHUNK_EVENTS)
     assert chunks_10x > chunks_1x > 1
 
     stream_1x = _replay_in_child(path_1x, "stream")

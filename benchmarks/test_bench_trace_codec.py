@@ -1,6 +1,10 @@
-"""Benchmark: binary columnar trace codec vs NDJSON — the PR acceptance gates.
+"""Benchmark: binary columnar trace codec vs NDJSON — the acceptance gates.
 
-Three numbers on the 10× fluidSim trace (~3.15M events):
+The package writes only the binary container; the gzip-NDJSON baseline is
+written here by :func:`_write_ndjson_reference`, the retired v1 chunked
+writer kept as a private reference helper (its output is the exact format
+the package still reads).  Three numbers on the 10× fluidSim trace (~3.15M
+events):
 
 * **decode throughput**: streaming all chunks of the v2 binary file and
   materializing every event tuple must run ≥ 3× the events/sec of the same
@@ -20,13 +24,16 @@ throughput/size/attach keys being present and numeric.
 
 from __future__ import annotations
 
+import gzip
+import json
 import os
 import time
 
 from repro.analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
 from repro.ceres.loop_profiler import LoopProfiler
 from repro.engine.workerpool import PoolTask, WorkerPool
-from repro.jsvm.hooks import TraceReplayer, TraceWriter, open_trace_source
+from repro.jsvm.hooks import TRACE_CHUNK_FORMAT, TraceReplayer, open_trace_source
+from repro.jsvm.tracecodec import _chunk_deltas, write_binary_trace
 from repro.serve.store import DiskTraceStore
 
 from test_bench_stream_memory import _fluid_workload
@@ -35,6 +42,50 @@ CHUNK_EVENTS = 65536
 DECODE_SPEEDUP_GATE = 3.0
 SIZE_RATIO_GATE = 0.6
 DECODE_REPEATS = 3
+
+
+def _write_ndjson_reference(trace, path: str, chunk_events: int) -> int:
+    """Write ``trace`` as v1 chunked gzip-NDJSON (the decode/size baseline).
+
+    A header line carrying the provenance and full-content digest, one line
+    per chunk whose intern-table deltas cover exactly the entries its events
+    first reference, and a footer line with the chunk and event totals.
+    Returns the number of chunks written.
+    """
+    events = trace.events
+    header = {
+        "format": TRACE_CHUNK_FORMAT,
+        "version": trace.version,
+        "mask": trace.mask,
+        "workload": trace.workload,
+        "fingerprint": trace.fingerprint,
+        "ms_per_op": trace.ms_per_op,
+        "start_ms": trace.start_ms,
+        "end_ms": trace.end_ms,
+        "env_count": trace.env_count,
+        "dropped": list(trace.dropped),
+        "digest": trace.digest(),
+        "events": len(events),
+        "chunk_events": chunk_events,
+    }
+    chunk_count = len(range(0, len(events), chunk_events))
+    with gzip.open(path, "wt", encoding="utf-8") as handle:
+        handle.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for chunk_index, (batch, strings, nodes, objects, env_delta) in enumerate(
+            _chunk_deltas(trace, chunk_events)
+        ):
+            payload = {
+                "chunk": chunk_index,
+                "strings": strings,
+                "nodes": [list(e) for e in nodes],
+                "objects": [list(e) for e in objects],
+                "envs": env_delta,
+                "events": [list(r) for r in batch],
+            }
+            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        footer = {"end": True, "chunks": chunk_count, "events": len(events)}
+        handle.write(json.dumps(footer, separators=(",", ":")) + "\n")
+    return chunk_count
 
 
 def _attach_probe(context, heavy, fingerprint, mask):
@@ -79,12 +130,8 @@ def test_bench_trace_codec_gates(benchmark, tmp_path):
 
     json_path = str(tmp_path / "fluid-10x.trace.json.gz")
     bin_path = str(tmp_path / "fluid-10x.trace.bin")
-    TraceWriter.write_trace(
-        trace, json_path, chunk_events=CHUNK_EVENTS, encoding="json"
-    )
-    TraceWriter.write_trace(
-        trace, bin_path, chunk_events=CHUNK_EVENTS, encoding="binary"
-    )
+    _write_ndjson_reference(trace, json_path, CHUNK_EVENTS)
+    write_binary_trace(trace, bin_path, chunk_events=CHUNK_EVENTS)
     size_json = os.path.getsize(json_path)
     size_bin = os.path.getsize(bin_path)
     size_ratio = size_bin / size_json

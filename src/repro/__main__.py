@@ -191,16 +191,10 @@ def _trace_slug(name: str) -> str:
 
 
 def _cmd_trace(session, args) -> int:
-    from .jsvm.hooks import (
-        Trace,
-        TraceError,
-        TraceWriter,
-        describe_mask,
-        open_trace_source,
-    )
+    from .jsvm.hooks import Trace, TraceError, describe_mask, open_trace_source
 
     if args.trace_command == "record":
-        from .jsvm.hooks import trace_encoding
+        from .jsvm import tracecodec
         from .workloads import workload_names
 
         known = workload_names()
@@ -208,18 +202,16 @@ def _cmd_trace(session, args) -> int:
             print(f"unknown workload: {args.workload}", file=sys.stderr)
             print(f"known: {', '.join(known)}", file=sys.stderr)
             return 2
-        encoding = args.encoding or trace_encoding()
         trace = session.record_trace(args.workload)
-        default_ext = ".trace.bin" if encoding == "binary" else ".trace.json.gz"
-        path = args.output or f"{_trace_slug(args.workload)}{default_ext}"
-        chunks = TraceWriter.write_trace(
-            trace, path, chunk_events=args.chunk_events, encoding=encoding
+        path = args.output or f"{_trace_slug(args.workload)}.trace.bin"
+        chunks = tracecodec.write_binary_trace(
+            trace, path, chunk_events=args.chunk_events
         )
         layout = "1 chunk" if chunks <= 1 else f"{chunks} chunks"
         print(
             f"recorded {len(trace.events)} events "
             f"[{describe_mask(trace.mask)}] for {trace.workload!r} "
-            f"-> {path} ({encoding}, {layout})"
+            f"-> {path} (binary, {layout})"
         )
         return 0
 
@@ -488,17 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         help=(
-            "output file (default <workload>.trace.bin for the binary "
-            "encoding, <workload>.trace.json.gz for json; .gz = compressed)"
-        ),
-    )
-    p_trace_record.add_argument(
-        "--encoding",
-        choices=("binary", "json"),
-        default=None,
-        help=(
-            "on-disk trace encoding (default: REPRO_TRACE_ENCODING or "
-            "binary; json writes the v1 format, which stays readable forever)"
+            "output file (default <workload>.trace.bin; a .gz suffix "
+            "gzip-wraps the binary container, which then decodes in memory "
+            "instead of through mmap)"
         ),
     )
     p_trace_record.add_argument(
@@ -508,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "events per chunk for the streaming file layout (default: "
-            "REPRO_TRACE_CHUNK_EVENTS or 65536; with --encoding json, traces "
-            "that fit in one chunk use the legacy single-document format)"
+            "REPRO_TRACE_CHUNK_EVENTS or 65536)"
         ),
     )
     p_trace_record.set_defaults(func=_cmd_trace)

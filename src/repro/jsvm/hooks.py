@@ -50,6 +50,14 @@ subscribes to ``EV_VAR`` for the writes); the dropped method names are part
 of the trace, and replay refuses a tracer that overrides one of them instead
 of silently starving it.  Bump :data:`TRACE_SCHEMA_VERSION` if a future
 revision changes record shapes or starts carrying values.
+
+On disk, traces are written in one encoding only: the binary columnar
+container of :mod:`repro.jsvm.tracecodec`
+(:func:`~repro.jsvm.tracecodec.write_binary_trace`).  The v1 text formats —
+a single JSON document (:meth:`Trace.from_json`) and chunked NDJSON
+(:class:`TraceFileSource`), either optionally gzip-wrapped — are read-only:
+:func:`open_trace_source` sniffs the leading bytes and opens every format
+this package ever wrote.
 """
 
 from __future__ import annotations
@@ -339,13 +347,14 @@ class HookBus:
 #: shapes, intern-table layouts or serialization.
 TRACE_SCHEMA_VERSION = 1
 
-#: Magic ``format`` marker of serialized traces.
+#: Magic ``format`` marker of v1 single-document JSON trace files (read-only).
 TRACE_FORMAT = "repro-trace"
 
-#: Magic ``format`` marker of chunked (streaming) trace files: an NDJSON
-#: header line, one line per bounded chunk of events (with intern-table
-#: *deltas*), and a trailing footer line.  A chunked file replays in O(chunk)
-#: resident memory; :meth:`Trace.load` still assembles it whole on request.
+#: Magic ``format`` marker of v1 chunked (streaming) trace files (read-only):
+#: an NDJSON header line, one line per bounded chunk of events (with
+#: intern-table *deltas*), and a trailing footer line.  A chunked file replays
+#: in O(chunk) resident memory; :meth:`Trace.load` still assembles it whole
+#: on request.
 TRACE_CHUNK_FORMAT = "repro-trace-chunks"
 
 #: Override for the default events-per-chunk bound of chunked trace files.
@@ -354,17 +363,6 @@ TRACE_CHUNK_EVENTS_ENV_VAR = "REPRO_TRACE_CHUNK_EVENTS"
 #: Default events-per-chunk bound: large enough that chunk framing is noise
 #: (<1% of records), small enough that a chunk is a few MB resident.
 DEFAULT_CHUNK_EVENTS = 65536
-
-#: On-disk encoding knob: ``binary`` (the schema-v2 columnar container,
-#: default) or ``json`` (the v1 JSON/NDJSON formats).  Readers sniff the
-#: actual bytes — this knob only selects what new files are *written* as,
-#: and every v1 file stays readable forever.
-TRACE_ENCODING_ENV_VAR = "REPRO_TRACE_ENCODING"
-
-#: The encoding written when neither the call site nor the env var says.
-DEFAULT_TRACE_ENCODING = "binary"
-
-_TRACE_ENCODINGS = ("binary", "json")
 
 #: Env values already warned about (one warning per bad value per process —
 #: these getters run on every write/stream and must not spam).
@@ -400,21 +398,6 @@ def stream_chunk_events() -> int:
         return DEFAULT_CHUNK_EVENTS
     return value
 
-
-def trace_encoding() -> str:
-    """The configured on-disk trace encoding (``binary`` or ``json``).
-
-    Same contract as :func:`stream_chunk_events`: unset/empty is the silent
-    default, an unrecognized value warns once and falls back.
-    """
-    raw = os.environ.get(TRACE_ENCODING_ENV_VAR, "")
-    if not raw:
-        return DEFAULT_TRACE_ENCODING
-    value = raw.strip().lower()
-    if value not in _TRACE_ENCODINGS:
-        _warn_rejected_env(TRACE_ENCODING_ENV_VAR, raw, DEFAULT_TRACE_ENCODING)
-        return DEFAULT_TRACE_ENCODING
-    return value
 
 # -- record opcodes (first element of every flat event tuple) ---------------
 TR_LOOP_ENTER = 0  #: (op, clock_ms, node)
@@ -562,7 +545,8 @@ class Trace:
     """One recorded event stream plus its intern tables and provenance.
 
     Everything in here is JSON-native (ints, floats, strings, flat lists), so
-    a trace can be pickled to a fan-out worker, written to disk, or shipped to
+    a trace can be pickled to a fan-out worker, written to disk
+    (:func:`~repro.jsvm.tracecodec.write_binary_trace`), or shipped to
     another machine, and replayed there without the guest program.
     """
 
@@ -634,24 +618,6 @@ class Trace:
         return not (required_mask & ~self.mask)
 
     # -------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": TRACE_FORMAT,
-            "version": self.version,
-            "mask": self.mask,
-            "workload": self.workload,
-            "fingerprint": self.fingerprint,
-            "ms_per_op": self.ms_per_op,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "env_count": self.env_count,
-            "dropped": list(self.dropped),
-            "strings": list(self.strings),
-            "nodes": [list(entry) for entry in self.nodes],
-            "objects": [list(entry) for entry in self.objects],
-            "events": [list(record) for record in self.events],
-        }
-
     @classmethod
     def from_dict(cls, data: Any) -> "Trace":
         if not isinstance(data, dict) or data.get("format") != TRACE_FORMAT:
@@ -720,9 +686,6 @@ class Trace:
             self.env_count,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
     @classmethod
     def from_json(cls, text: str) -> "Trace":
         try:
@@ -731,19 +694,10 @@ class Trace:
             raise TraceFormatError(f"trace file is truncated or corrupt: {exc}") from exc
         return cls.from_dict(data)
 
-    def save(self, path: str) -> None:
-        """Write the trace to ``path`` (gzip-compressed when it ends in .gz)."""
-        text = self.to_json() + "\n"
-        if str(path).endswith(".gz"):
-            with gzip.open(path, "wt", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            with io.open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Materialize a trace from ``path`` — legacy single-JSON or chunked."""
+        """Materialize a trace from ``path`` — binary, or v1 single-JSON or
+        chunked NDJSON."""
         source = open_trace_source(path)
         if isinstance(source, cls):
             return source
@@ -829,152 +783,11 @@ class TraceChunk:
         self.events = events
 
 
-def _open_trace_text(path: str, mode: str):
+def _open_trace_text(path: str):
+    """Open a v1 text trace for reading (gzip-wrapped when it ends in .gz)."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return io.open(path, mode, encoding="utf-8")
-
-
-def _chunk_deltas(trace: Trace, chunk_events: int):
-    """Split ``trace`` into chunk-sized event batches with intern deltas.
-
-    Yields ``(batch, strings, nodes, objects, env_delta)`` per chunk, where
-    the table slices cover exactly the entries the batch first references
-    (the streaming invariant), and the *last* chunk tops up every table so
-    reassembly reproduces the original trace — and its digest — exactly,
-    even for entries no event happens to reference.  Shared by the NDJSON
-    and binary writers so both emit identical chunk boundaries and deltas.
-    """
-    events = trace.events
-    total_strings = len(trace.strings)
-    total_nodes = len(trace.nodes)
-    total_objects = len(trace.objects)
-    total_envs = trace.env_count
-    layouts = Trace._RECORD_LAYOUT
-    starts = list(range(0, len(events), chunk_events)) or [0]
-    chunk_count = len(starts)
-    sent_strings = sent_nodes = sent_objects = sent_envs = 0
-    for chunk_index, start in enumerate(starts):
-        batch = events[start : start + chunk_events]
-        if chunk_index == chunk_count - 1:
-            need_strings, need_nodes = total_strings, total_nodes
-            need_objects, need_envs = total_objects, total_envs
-        else:
-            need_strings, need_nodes = sent_strings, sent_nodes
-            need_objects, need_envs = sent_objects, sent_envs
-            for record in batch:
-                _arity, node_at, obj_at, env_at, string_at = layouts[record[0]]
-                for position in node_at:
-                    if record[position] >= need_nodes:
-                        need_nodes = record[position] + 1
-                for position in obj_at:
-                    if record[position] >= need_objects:
-                        need_objects = record[position] + 1
-                for position in env_at:
-                    if record[position] >= need_envs:
-                        need_envs = record[position] + 1
-                for position in string_at:
-                    if record[position] >= need_strings:
-                        need_strings = record[position] + 1
-            # Newly shipped table entries reference strings of their own
-            # (node kinds, object class/function names).
-            for entry in trace.nodes[sent_nodes:need_nodes]:
-                if entry[2] >= need_strings:
-                    need_strings = entry[2] + 1
-            for entry in trace.objects[sent_objects:need_objects]:
-                if entry[1] >= need_strings:
-                    need_strings = entry[1] + 1
-                if entry[3] >= need_strings:
-                    need_strings = entry[3] + 1
-        yield (
-            batch,
-            trace.strings[sent_strings:need_strings],
-            trace.nodes[sent_nodes:need_nodes],
-            trace.objects[sent_objects:need_objects],
-            need_envs - sent_envs,
-        )
-        sent_strings, sent_nodes = need_strings, need_nodes
-        sent_objects, sent_envs = need_objects, need_envs
-
-
-class TraceWriter:
-    """Writes traces to disk, splitting long event streams into chunks.
-
-    Short traces (at most one chunk of events) are written in the legacy
-    single-JSON :meth:`Trace.save` format byte-for-byte, so every existing
-    consumer of one-chunk files keeps working.  Longer traces become an
-    NDJSON stream: a header line carrying the trace provenance (including the
-    full-content digest), one line per bounded chunk whose intern-table
-    *deltas* cover exactly the entries its events first reference, and a
-    footer line asserting the chunk and event totals.
-    """
-
-    @classmethod
-    def write_trace(
-        cls,
-        trace: Trace,
-        path: str,
-        chunk_events: Optional[int] = None,
-        encoding: Optional[str] = None,
-    ) -> int:
-        """Write ``trace`` to ``path``; returns the number of chunks written.
-
-        ``encoding`` is ``"binary"`` (the schema-v2 columnar container) or
-        ``"json"`` (the v1 formats); ``None`` defers to the
-        :data:`TRACE_ENCODING_ENV_VAR` knob, whose default is binary.  In the
-        json encoding a return value of 1 means the legacy single-JSON format
-        was used (byte-compatible with :meth:`Trace.save`).
-        """
-        if encoding is None:
-            encoding = trace_encoding()
-        if encoding not in _TRACE_ENCODINGS:
-            raise ValueError(
-                f"unknown trace encoding {encoding!r}; expected one of "
-                f"{_TRACE_ENCODINGS}"
-            )
-        if chunk_events is None:
-            chunk_events = stream_chunk_events()
-        if encoding == "binary":
-            from .tracecodec import write_binary_trace
-
-            return write_binary_trace(trace, path, chunk_events=chunk_events)
-        events = trace.events
-        if chunk_events <= 0 or len(events) <= chunk_events:
-            trace.save(path)
-            return 1
-        header = {
-            "format": TRACE_CHUNK_FORMAT,
-            "version": trace.version,
-            "mask": trace.mask,
-            "workload": trace.workload,
-            "fingerprint": trace.fingerprint,
-            "ms_per_op": trace.ms_per_op,
-            "start_ms": trace.start_ms,
-            "end_ms": trace.end_ms,
-            "env_count": trace.env_count,
-            "dropped": list(trace.dropped),
-            "digest": trace.digest(),
-            "events": len(events),
-            "chunk_events": chunk_events,
-        }
-        chunk_count = len(range(0, len(events), chunk_events))
-        with _open_trace_text(path, "w") as handle:
-            handle.write(json.dumps(header, separators=(",", ":")) + "\n")
-            for chunk_index, (batch, strings, nodes, objects, env_delta) in enumerate(
-                _chunk_deltas(trace, chunk_events)
-            ):
-                payload = {
-                    "chunk": chunk_index,
-                    "strings": strings,
-                    "nodes": [list(e) for e in nodes],
-                    "objects": [list(e) for e in objects],
-                    "envs": env_delta,
-                    "events": [list(r) for r in batch],
-                }
-                handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            footer = {"end": True, "chunks": chunk_count, "events": len(events)}
-            handle.write(json.dumps(footer, separators=(",", ":")) + "\n")
-        return chunk_count
+        return gzip.open(path, "rt", encoding="utf-8")
+    return io.open(path, "r", encoding="utf-8")
 
 
 class TraceFileSource:
@@ -1039,7 +852,7 @@ class TraceFileSource:
     def chunks(self) -> Iterator[TraceChunk]:
         """Stream validated chunks from the file; O(chunk) resident."""
         try:
-            with _open_trace_text(self.path, "r") as handle:
+            with _open_trace_text(self.path) as handle:
                 if not handle.readline():
                     raise TraceFormatError(f"chunked trace {self.path!r} is empty")
                 seen_strings = seen_nodes = seen_objects = seen_envs = 0
@@ -1246,7 +1059,7 @@ def open_trace_source(path: str):
                 f"trace file {path!r} is truncated or corrupt: {exc}"
             ) from exc
     try:
-        with _open_trace_text(path, "r") as handle:
+        with _open_trace_text(path) as handle:
             first = handle.readline()
             try:
                 data = json.loads(first)

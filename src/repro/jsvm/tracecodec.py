@@ -814,6 +814,69 @@ class _CountingSink:
         self.offset += len(data)
 
 
+def _chunk_deltas(trace, chunk_events: int):
+    """Split ``trace`` into chunk-sized event batches with intern deltas.
+
+    Yields ``(batch, strings, nodes, objects, env_delta)`` per chunk, where
+    the table slices cover exactly the entries the batch first references
+    (the streaming invariant), and the *last* chunk tops up every table so
+    reassembly reproduces the original trace — and its digest — exactly,
+    even for entries no event happens to reference.
+    """
+    from .hooks import Trace
+
+    events = trace.events
+    total_strings = len(trace.strings)
+    total_nodes = len(trace.nodes)
+    total_objects = len(trace.objects)
+    total_envs = trace.env_count
+    layouts = Trace._RECORD_LAYOUT
+    starts = list(range(0, len(events), chunk_events)) or [0]
+    chunk_count = len(starts)
+    sent_strings = sent_nodes = sent_objects = sent_envs = 0
+    for chunk_index, start in enumerate(starts):
+        batch = events[start : start + chunk_events]
+        if chunk_index == chunk_count - 1:
+            need_strings, need_nodes = total_strings, total_nodes
+            need_objects, need_envs = total_objects, total_envs
+        else:
+            need_strings, need_nodes = sent_strings, sent_nodes
+            need_objects, need_envs = sent_objects, sent_envs
+            for record in batch:
+                _arity, node_at, obj_at, env_at, string_at = layouts[record[0]]
+                for position in node_at:
+                    if record[position] >= need_nodes:
+                        need_nodes = record[position] + 1
+                for position in obj_at:
+                    if record[position] >= need_objects:
+                        need_objects = record[position] + 1
+                for position in env_at:
+                    if record[position] >= need_envs:
+                        need_envs = record[position] + 1
+                for position in string_at:
+                    if record[position] >= need_strings:
+                        need_strings = record[position] + 1
+            # Newly shipped table entries reference strings of their own
+            # (node kinds, object class/function names).
+            for entry in trace.nodes[sent_nodes:need_nodes]:
+                if entry[2] >= need_strings:
+                    need_strings = entry[2] + 1
+            for entry in trace.objects[sent_objects:need_objects]:
+                if entry[1] >= need_strings:
+                    need_strings = entry[1] + 1
+                if entry[3] >= need_strings:
+                    need_strings = entry[3] + 1
+        yield (
+            batch,
+            trace.strings[sent_strings:need_strings],
+            trace.nodes[sent_nodes:need_nodes],
+            trace.objects[sent_objects:need_objects],
+            need_envs - sent_envs,
+        )
+        sent_strings, sent_nodes = need_strings, need_nodes
+        sent_objects, sent_envs = need_objects, need_envs
+
+
 def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> int:
     """Serialize ``trace`` to ``path`` in the v2 binary format, sealed with
     the footer content hash (container :data:`BINARY_CONTAINER_VERSION`).
@@ -823,7 +886,7 @@ def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> 
     wrapper (offsets then address the decompressed stream; such files decode
     from memory instead of mmap).
     """
-    from .hooks import _chunk_deltas, stream_chunk_events
+    from .hooks import stream_chunk_events
 
     if chunk_events is None:
         chunk_events = stream_chunk_events()

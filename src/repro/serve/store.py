@@ -6,14 +6,15 @@ recordings additionally persist under a root directory::
 
     <root>/
       index.json                          # {version, entries: [...]}
-      <fp16>-<digest16>.trace.bin         # binary columnar segment (default)
-      <fp16>-<digest16>.trace.json.gz     # legacy gzip segment (reads forever)
+      <fp16>-<digest16>.trace.bin         # binary columnar segment
+      <fp16>-<digest16>.trace.json.gz     # legacy v1 segment (read-only)
 
-Segments reuse the exact ``python -m repro trace record`` file formats —
-binary columnar (schema v2, mmap-able and random-access by chunk) by
-default, the v1 JSON/NDJSON gzip format when ``REPRO_TRACE_ENCODING=json``
-— so any on-disk segment can also be inspected/replayed with the trace CLI,
-and stores written by either encoding keep serving.  The JSON index carries
+Segments are the exact ``python -m repro trace record`` file format — the
+binary columnar container (schema v2, mmap-able and random-access by chunk),
+the only encoding written — so any on-disk segment can also be
+inspected/replayed with the trace CLI.  Stores written before v1 writing was
+retired keep serving: an index row naming a ``.trace.json.gz`` segment loads
+through the v1 reader.  The JSON index carries
 one row per segment (fingerprint, mask, digest, event count, file name); on
 startup only the index is read — segments load lazily on the first covering
 ``find`` and are then served from memory, and :meth:`segment_ref` hands
@@ -39,12 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..engine.cache import TraceStore
-from ..jsvm.hooks import (
-    Trace,
-    TraceError,
-    TraceWriter,
-    trace_encoding,
-)
+from ..jsvm.hooks import Trace, TraceError
 
 #: On-disk index schema version.
 INDEX_VERSION = 1
@@ -54,25 +50,13 @@ INDEX_NAME = "index.json"
 class DiskTraceStore(TraceStore):
     """A trace store whose contents persist under ``root`` across restarts."""
 
-    def __init__(
-        self,
-        root,
-        chunk_events: Optional[int] = None,
-        encoding: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root, chunk_events: Optional[int] = None) -> None:
         super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Events per segment chunk (None → the REPRO_TRACE_CHUNK_EVENTS /
-        #: built-in default at write time).  Only the json encoding writes a
-        #: trace that fits in one chunk in the legacy single-document format
-        #: (byte-compatible with ``Trace.save``); the binary writer always
-        #: writes its columnar container.
+        #: built-in default at write time).
         self.chunk_events = chunk_events
-        #: Segment encoding for *new* writes (None → the REPRO_TRACE_ENCODING /
-        #: binary default at write time).  Existing segments of either format
-        #: keep serving — the index ``file`` column names them.
-        self.encoding = encoding
         self._io_lock = threading.RLock()
         #: fingerprint → index rows ({digest, mask, workload, events, file}).
         self._index: Dict[str, List[dict]] = {}
@@ -140,12 +124,10 @@ class DiskTraceStore(TraceStore):
 
     # ------------------------------------------------------------- segments
     @staticmethod
-    def _segment_name(fingerprint: str, digest: str, encoding: str = "binary") -> str:
-        """Segment file name; binary segments stay uncompressed-on-disk so
-        readers (this process and forked pool workers alike) can mmap them."""
-        if encoding == "binary":
-            return f"{fingerprint[:16]}-{digest[:16]}.trace.bin"
-        return f"{fingerprint[:16]}-{digest[:16]}.trace.json.gz"
+    def _segment_name(fingerprint: str, digest: str) -> str:
+        """Segment file name; segments stay uncompressed-on-disk so readers
+        (this process and forked pool workers alike) can mmap them."""
+        return f"{fingerprint[:16]}-{digest[:16]}.trace.bin"
 
     def _segment_path(self, entry: dict) -> Path:
         return self.root / entry["file"]
@@ -163,23 +145,21 @@ class DiskTraceStore(TraceStore):
             pass
 
     # ------------------------------------------------------------- contract
-    def _write_segment_tmp(self, trace: Trace, target: Path, encoding: str) -> Path:
+    def _write_segment_tmp(self, trace: Trace, target: Path) -> Path:
         """Write ``trace`` to a unique temp sibling of ``target`` and return it.
 
         Called **outside** ``_io_lock``: segment serialization is the
-        expensive part of a put (gzip / columnar encode of the whole event
-        list), and holding the lock across it would serialize every
-        concurrent tenant.  The pid+tid-unique name keeps racing writers of
-        the same digest from clobbering each other's temp file; the ``.gz``
-        suffix is preserved where present so the JSON writer compresses.
+        expensive part of a put (columnar encode of the whole event list),
+        and holding the lock across it would serialize every concurrent
+        tenant.  The pid+tid-unique name keeps racing writers of the same
+        digest from clobbering each other's temp file.
         """
-        suffix = f".{os.getpid()}-{threading.get_ident()}.tmp"
-        if target.name.endswith(".gz"):
-            suffix += ".gz"
-        tmp = target.with_name(target.name + suffix)
-        TraceWriter.write_trace(
-            trace, str(tmp), chunk_events=self.chunk_events, encoding=encoding
+        from ..jsvm import tracecodec
+
+        tmp = target.with_name(
+            f"{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
+        tracecodec.write_binary_trace(trace, str(tmp), chunk_events=self.chunk_events)
         return tmp
 
     def put(self, trace: Trace) -> Trace:
@@ -192,14 +172,13 @@ class DiskTraceStore(TraceStore):
         """
         super().put(trace)
         digest = trace.digest()
-        encoding = self.encoding if self.encoding is not None else trace_encoding()
         entry = {
             "fingerprint": trace.fingerprint,
             "digest": digest,
             "mask": trace.mask,
             "workload": trace.workload,
             "events": len(trace.events),
-            "file": self._segment_name(trace.fingerprint, digest, encoding),
+            "file": self._segment_name(trace.fingerprint, digest),
         }
         target = self._segment_path(entry)
         with self._io_lock:
@@ -209,7 +188,7 @@ class DiskTraceStore(TraceStore):
             )
         tmp = None
         if not known:
-            tmp = self._write_segment_tmp(trace, target, encoding)
+            tmp = self._write_segment_tmp(trace, target)
         published = False
         with self._io_lock:
             rows = self._index.get(trace.fingerprint, [])
@@ -221,7 +200,7 @@ class DiskTraceStore(TraceStore):
                 if tmp is None:
                     # Rare race: the pre-check saw our digest, but a covering
                     # concurrent put evicted it before we re-took the lock.
-                    tmp = self._write_segment_tmp(trace, target, encoding)
+                    tmp = self._write_segment_tmp(trace, target)
                 os.replace(tmp, target)
                 published = True
                 rows.append(entry)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.browser.window import BrowserSession
@@ -25,6 +27,24 @@ def hooks() -> HookBus:
 def session() -> BrowserSession:
     """A fresh browser session (interpreter + DOM + event loop)."""
     return BrowserSession()
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="session")
+def v1_chunks_fixture() -> Path:
+    """Committed v1 chunked gzip-NDJSON trace: MyScript under the full
+    pipeline mask, 512 events per chunk (22 chunks).  The package no longer
+    writes v1; this file and :func:`v1_loops_fixture` pin its readers."""
+    return FIXTURES / "myscript-v1-chunks.trace.json.gz"
+
+
+@pytest.fixture(scope="session")
+def v1_loops_fixture() -> Path:
+    """Committed v1 single-document JSON trace: MyScript under ``EV_LOOP``
+    only (264 events)."""
+    return FIXTURES / "myscript-v1-loops.trace.json"
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ EXPECTED_KNOBS = {
     "REPRO_FORCE_CLOSURE_TIER",
     "REPRO_FORCE_DICT_SCOPES",
     "REPRO_TRACE_CHUNK_EVENTS",
-    "REPRO_TRACE_ENCODING",
 }
 
 

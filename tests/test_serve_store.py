@@ -5,19 +5,20 @@ The serving daemon stakes its correctness on the store contract: fingerprint
 clean misses on corrupt segments plus an index that round-trips across
 restarts.  These tests exercise exactly that, with synthetic traces (the
 contract is mask/fingerprint arithmetic; no guest execution involved) plus
-one real recorded trace for file-format fidelity.
+one real recorded trace for file-format fidelity and one committed legacy v1
+segment (stores written before v1 writing was retired keep serving).
 """
 
 from __future__ import annotations
 
-import gzip
 import json
+import shutil
 import threading
 
 import pytest
 
 from repro.engine.cache import TraceStore
-from repro.jsvm.hooks import Trace
+from repro.jsvm.hooks import Trace, open_trace_source
 from repro.serve.store import DiskTraceStore
 
 
@@ -240,9 +241,7 @@ class TestDiskTraceStore:
         assert reopened.puts == 0  # loading is not a recording
 
     def test_covered_eviction_removes_on_disk_segments(self, tmp_path):
-        # encoding pinned: the segment-file assertions glob *.trace.bin and
-        # must not follow a REPRO_TRACE_ENCODING=json override from the env.
-        store = DiskTraceStore(tmp_path, encoding="binary")
+        store = DiskTraceStore(tmp_path)
         small = store.put(make_trace(0b0001))
         big = store.put(make_trace(0b0011))
         assert store.segment_count() == 1
@@ -261,7 +260,7 @@ class TestDiskTraceStore:
         assert reopened.find("fp-a", 0b0010).mask == 0b0110
 
     def test_corrupt_segment_is_a_clean_miss(self, tmp_path):
-        store = DiskTraceStore(tmp_path, encoding="binary")
+        store = DiskTraceStore(tmp_path)
         store.put(make_trace(0b0011))
         (segment,) = tmp_path.glob("*.trace.bin")
         segment.write_bytes(b"\x1f\x8b garbage that is not gzip json")
@@ -278,7 +277,7 @@ class TestDiskTraceStore:
         assert reopened.find("fp-a", 0b0001) is not None
 
     def test_truncated_segment_is_a_clean_miss(self, tmp_path):
-        store = DiskTraceStore(tmp_path, encoding="binary")
+        store = DiskTraceStore(tmp_path)
         store.put(make_trace(0b0011))
         (segment,) = tmp_path.glob("*.trace.bin")
         whole = segment.read_bytes()
@@ -289,7 +288,7 @@ class TestDiskTraceStore:
         assert reopened.corrupt_segments == 1
 
     def test_missing_segment_file_is_a_clean_miss(self, tmp_path):
-        store = DiskTraceStore(tmp_path, encoding="binary")
+        store = DiskTraceStore(tmp_path)
         store.put(make_trace(0b0011))
         for segment in tmp_path.glob("*.trace.bin"):
             segment.unlink()
@@ -298,21 +297,48 @@ class TestDiskTraceStore:
         assert reopened.corrupt_segments == 1
 
     def test_fingerprint_mismatched_segment_is_dropped(self, tmp_path):
-        # Pinned to the JSON encoding: the mutation below edits the gzip
-        # payload in place (the equivalent binary-header tampering paths are
-        # covered in tests/test_trace_codec.py).
-        store = DiskTraceStore(tmp_path, encoding="json")
+        store = DiskTraceStore(tmp_path)
         store.put(make_trace(0b0011, fingerprint="fp-real"))
-        (segment,) = tmp_path.glob("*.trace.json.gz")
-        # Rewrite the segment to claim a different fingerprint than the index.
-        with gzip.open(segment, "rt", encoding="utf-8") as handle:
-            payload = json.loads(handle.read())
-        payload["fingerprint"] = "fp-imposter"
-        with gzip.open(segment, "wt", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))
+        store.close()
+        # Hand-edit the index row to claim a fingerprint the binary segment
+        # it names does not carry.
+        index_path = tmp_path / "index.json"
+        index = json.loads(index_path.read_text())
+        (row,) = index["entries"]
+        row["fingerprint"] = "fp-imposter"
+        index_path.write_text(json.dumps(index))
         reopened = DiskTraceStore(tmp_path)
-        assert reopened.find("fp-real", 0b0001) is None
+        assert reopened.find("fp-imposter", 0b0001) is None
         assert reopened.corrupt_segments == 1
+        assert reopened.misses == 1
+        # The lying entry is dropped: index rewritten, segment gone.
+        assert json.loads(index_path.read_text())["entries"] == []
+        assert not list(tmp_path.glob("*.trace.bin"))
+
+    def test_legacy_v1_segment_keeps_serving(self, tmp_path, v1_chunks_fixture):
+        # A store written while segments were v1 gzip-NDJSON: its index row
+        # names a .trace.json.gz file, which still loads through the v1 reader.
+        header = open_trace_source(str(v1_chunks_fixture))
+        name = f"{header.fingerprint[:16]}-{header.digest()[:16]}.trace.json.gz"
+        shutil.copyfile(v1_chunks_fixture, tmp_path / name)
+        row = {
+            "fingerprint": header.fingerprint,
+            "digest": header.digest(),
+            "mask": header.mask,
+            "workload": header.workload,
+            "events": header.event_count,
+            "file": name,
+        }
+        (tmp_path / "index.json").write_text(
+            json.dumps({"version": 1, "entries": [row]})
+        )
+        store = DiskTraceStore(tmp_path)
+        found = store.find(header.fingerprint, header.mask)
+        assert found is not None
+        assert found.digest() == header.digest()
+        assert store.disk_hits == 1 and store.corrupt_segments == 0
+        ref = store.segment_ref(header.fingerprint, header.mask)
+        assert ref["path"] == str(tmp_path / name)
 
     def test_corrupt_index_means_empty_store_not_crash(self, tmp_path):
         store = DiskTraceStore(tmp_path)
@@ -409,24 +435,22 @@ class TestStoreConcurrency:
         """Two tenants must be able to serialize segments *simultaneously*.
 
         ``put`` used to hold ``_io_lock`` across the whole segment write; a
-        two-party barrier inside ``TraceWriter.write_trace`` would then
+        two-party barrier inside ``write_binary_trace`` would then
         deadlock (the second putter blocks on the lock before ever reaching
         its write).  With the write outside the lock, both threads reach the
         barrier together and both segments publish intact.
         """
-        from repro.jsvm.hooks import TraceWriter
+        from repro.jsvm import tracecodec
 
         store = DiskTraceStore(tmp_path)
         barrier = threading.Barrier(2, timeout=10.0)
-        original = TraceWriter.write_trace.__func__
+        original = tracecodec.write_binary_trace
 
-        def rendezvous(cls, trace, path, chunk_events=None, encoding=None):
+        def rendezvous(trace, path, chunk_events=None):
             barrier.wait()
-            return original(
-                cls, trace, path, chunk_events=chunk_events, encoding=encoding
-            )
+            return original(trace, path, chunk_events=chunk_events)
 
-        monkeypatch.setattr(TraceWriter, "write_trace", classmethod(rendezvous))
+        monkeypatch.setattr(tracecodec, "write_binary_trace", rendezvous)
         errors = []
 
         def put(fingerprint: str) -> None:

@@ -10,9 +10,10 @@ The load-bearing claims of the v2 encoding:
   ``test_trace_stream.py``;
 * container-2 files (no footer hash, committed under ``tests/fixtures/``)
   still load through the full digest pass;
-* a v1 JSON/NDJSON file re-encoded as v2 round-trips to the exact same
-  ``Trace.digest()`` and byte-identical analysis payloads (the v1 format
-  stays readable forever; the knob only selects what gets *written*);
+* the committed v1 chunked-NDJSON fixture re-encoded as v2 round-trips to
+  the exact same ``Trace.digest()`` and byte-identical analysis payloads
+  (v1 stays readable forever; :func:`write_binary_trace` is the only
+  writer);
 * binary sources are mmap-backed and random-access by chunk.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import logging
 import struct
 import tracemalloc
 import zlib
@@ -36,9 +36,7 @@ from repro.jsvm.hooks import (
     Trace,
     TraceFormatError,
     TraceVersionError,
-    TraceWriter,
     open_trace_source,
-    trace_encoding,
 )
 from repro.jsvm.tracecodec import (
     BINARY_END_MAGIC,
@@ -52,6 +50,7 @@ from repro.jsvm.tracecodec import (
     _decode_varint,
     _encode_varint,
     _pack_block,
+    write_binary_trace,
 )
 from repro.workloads import get_workload
 
@@ -82,9 +81,7 @@ def binary_path(recorded, tmp_path_factory):
     """The recorded trace written as a multi-chunk v2 binary file."""
     _workload, trace = recorded
     path = tmp_path_factory.mktemp("codec") / "myscript.trace.bin"
-    chunks = TraceWriter.write_trace(
-        trace, str(path), chunk_events=CHUNK_EVENTS, encoding="binary"
-    )
+    chunks = write_binary_trace(trace, str(path), chunk_events=CHUNK_EVENTS)
     assert chunks == -(-len(trace.events) // CHUNK_EVENTS)
     assert chunks > 1, "fixture must exercise the multi-chunk layout"
     return str(path)
@@ -183,7 +180,7 @@ class TestBinaryFormat:
         loaded = open_trace_source(binary_path).load()
         loaded._digest_cache = None  # re-derive, not the adopted header value
         assert loaded.digest() == trace.digest()
-        assert loaded.to_dict() == trace.to_dict()
+        assert loaded == trace
 
     def test_info_helpers_match_the_trace(self, recorded, binary_path):
         _workload, trace = recorded
@@ -198,54 +195,21 @@ class TestBinaryFormat:
     def test_gzip_wrapped_binary_payload_still_opens(self, recorded, tmp_path):
         _workload, trace = recorded
         path = tmp_path / "wrapped.trace.bin.gz"
-        TraceWriter.write_trace(
-            trace, str(path), chunk_events=CHUNK_EVENTS, encoding="binary"
-        )
+        write_binary_trace(trace, str(path), chunk_events=CHUNK_EVENTS)
         with gzip.open(path, "rb") as handle:
             assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         source = open_trace_source(str(path))
         assert isinstance(source, BinaryTraceSource)
         assert source.load().digest() == trace.digest()
 
-    def test_writer_defaults_to_binary(self, recorded, tmp_path, monkeypatch):
+    def test_writer_defaults_to_binary(self, recorded, tmp_path):
+        # The file name never selects an encoding: a JSON-looking name still
+        # gets the binary container (the only one written).
         _workload, trace = recorded
-        monkeypatch.delenv("REPRO_TRACE_ENCODING", raising=False)
-        assert trace_encoding() == "binary"
-        path = tmp_path / "default.trace"
-        TraceWriter.write_trace(trace, str(path), chunk_events=CHUNK_EVENTS)
+        path = tmp_path / "default.trace.json"
+        write_binary_trace(trace, str(path))
         assert path.read_bytes()[: len(BINARY_MAGIC)] == BINARY_MAGIC
-
-    def test_encoding_env_knob_selects_json_and_warns_on_garbage(
-        self, recorded, tmp_path, monkeypatch, caplog
-    ):
-        import repro.jsvm.hooks as hooks
-
-        _workload, trace = recorded
-        monkeypatch.setenv("REPRO_TRACE_ENCODING", "json")
-        assert trace_encoding() == "json"
-        path = tmp_path / "legacy.trace.json"
-        TraceWriter.write_trace(trace, str(path), chunk_events=CHUNK_EVENTS)
-        assert path.read_bytes()[:1] == b"{"  # v1 NDJSON header line
-
-        monkeypatch.setattr(hooks, "_warned_env_values", set())
-        monkeypatch.setenv("REPRO_TRACE_ENCODING", "carrier-pigeon")
-        with caplog.at_level(logging.WARNING, logger="repro.jsvm.hooks"):
-            assert trace_encoding() == "binary"
-            assert trace_encoding() == "binary"
-        warned = [
-            record
-            for record in caplog.records
-            if "REPRO_TRACE_ENCODING" in record.getMessage()
-        ]
-        assert len(warned) == 1
-        assert "'carrier-pigeon'" in warned[0].getMessage()
-
-    def test_unknown_explicit_encoding_is_a_value_error(self, recorded, tmp_path):
-        _workload, trace = recorded
-        with pytest.raises(ValueError, match="encoding"):
-            TraceWriter.write_trace(
-                trace, str(tmp_path / "x.trace"), encoding="morse"
-            )
+        assert open_trace_source(str(path)).load().digest() == trace.digest()
 
 
 # ----------------------------------------------------------- failure matrix
@@ -446,11 +410,11 @@ class TestBinaryFailureMatrix:
         assert loaded.digest() == source.digest()
         # Re-encoding seals it (container 3) without changing the digest.
         sealed = tmp_path / "resealed.trace.bin"
-        TraceWriter.write_trace(loaded, str(sealed), encoding="binary")
+        write_binary_trace(loaded, str(sealed))
         resealed = open_trace_source(str(sealed))
         assert (resealed.container, resealed.integrity) == (3, "sha256")
         assert resealed.digest() == source.digest()
-        assert resealed.load().to_dict() == loaded.to_dict()
+        assert resealed.load() == loaded
 
     def test_container2_fixture_with_swapped_digest_nibble_raises(self):
         bad = _nibble_swapped_digest(CONTAINER2_FIXTURE.read_bytes())
@@ -506,25 +470,22 @@ class TestBinaryFailureMatrix:
 # --------------------------------------------------- cross-format identity
 class TestCrossFormatIdentity:
     def test_v1_to_v2_round_trip_preserves_digest_and_payloads(
-        self, recorded, tmp_path
+        self, v1_chunks_fixture, tmp_path
     ):
-        _workload, trace = recorded
-        v1 = tmp_path / "myscript.trace.json.gz"
-        TraceWriter.write_trace(
-            trace, str(v1), chunk_events=CHUNK_EVENTS, encoding="json"
-        )
-        from_v1 = Trace.load(str(v1))
+        v1 = str(v1_chunks_fixture)
+        from_v1 = Trace.load(v1)
         v2 = tmp_path / "myscript.trace.bin"
-        TraceWriter.write_trace(
-            from_v1, str(v2), chunk_events=CHUNK_EVENTS, encoding="binary"
-        )
-        from_v2 = open_trace_source(str(v2)).load()
-        assert from_v2.digest() == trace.digest()
-        assert from_v2.to_dict() == trace.to_dict()
+        assert write_binary_trace(from_v1, str(v2), chunk_events=CHUNK_EVENTS) > 1
+        source_v2 = open_trace_source(str(v2))
+        assert source_v2.digest() == open_trace_source(v1).digest()
+        from_v2 = source_v2.load()
+        from_v2._digest_cache = None  # re-derive, not the adopted header value
+        assert from_v2.digest() == from_v1.digest()
+        assert from_v2 == from_v1
 
         session = AnalysisSession()
-        batch = session.replay_trace(trace, COMPOSED)
-        streamed_v1 = session.replay_trace(open_trace_source(str(v1)), COMPOSED)
+        batch = session.replay_trace(from_v1, COMPOSED)
+        streamed_v1 = session.replay_trace(open_trace_source(v1), COMPOSED)
         streamed_v2 = session.replay_trace(open_trace_source(str(v2)), COMPOSED)
         for mode in (LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE):
             want = payload_digest(batch.payloads[mode])
@@ -559,9 +520,7 @@ class TestCrossFormatIdentity:
     def test_empty_trace_round_trips(self, tmp_path):
         empty = Trace(mask=0b111, workload="w", fingerprint="fp-empty")
         path = tmp_path / "empty.trace.bin"
-        assert (
-            TraceWriter.write_trace(empty, str(path), encoding="binary") == 1
-        )
+        assert write_binary_trace(empty, str(path)) == 1
         loaded = open_trace_source(str(path)).load()
         assert loaded.digest() == empty.digest()
         assert loaded.events == []

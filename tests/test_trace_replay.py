@@ -5,11 +5,15 @@ byte-identical to payloads produced by *live* tracers observing the same
 execution — for every tracer, on every bundled workload.  Plus: schema round
 trips, the trace store's mask-superset keying, the replay-backed stage
 schedule (including that it executes each workload exactly once), and
-graceful failures on truncated / corrupt / mismatched trace files.
+graceful failures on truncated / corrupt / mismatched trace files.  The v1
+single-document reader is pinned by the committed fixture
+``tests/fixtures/myscript-v1-loops.trace.json`` (the package writes only the
+binary container).
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 
@@ -31,10 +35,15 @@ from repro.jsvm.hooks import (
     TraceMaskError,
     TraceMismatchError,
     TraceVersionError,
+    open_trace_source,
 )
+from repro.jsvm.tracecodec import write_binary_trace
 from repro.workloads import get_workload, workload_names
 
 COMPOSED = RunSpec.composed(LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE)
+
+#: ``Trace.digest()`` of the committed single-document v1 fixture.
+V1_LOOPS_DIGEST = "e6676abab056388d12dbd0cb16aff19a0589fccd772fc9c21a8f183905c95a1d"
 
 
 def payload_digest(payload) -> str:
@@ -93,22 +102,35 @@ class TestSchemaRoundTrip:
         assert trace is not None
         return trace
 
-    def test_json_round_trip_is_byte_identical(self, trace):
-        text = trace.to_json()
-        again = Trace.from_json(text)
-        assert again.to_json() == text
-        assert again.digest() == trace.digest()
+    def test_json_round_trip_is_byte_identical(self, v1_loops_fixture):
+        # The v1 reader loses nothing: re-serializing the parsed fields in
+        # the document's own key order reproduces the file byte for byte.
+        text = v1_loops_fixture.read_text(encoding="utf-8")
+        data = json.loads(text)
+        parsed = Trace.from_json(text)
+        rebuilt = {
+            key: value if key == "format" else getattr(parsed, key)
+            for key, value in data.items()
+        }
+        assert json.dumps(rebuilt, separators=(",", ":")) + "\n" == text
+        assert parsed.digest() == V1_LOOPS_DIGEST
 
-    def test_file_round_trip_plain_and_gzip(self, trace, tmp_path):
-        for filename in ("t.trace.json", "t.trace.json.gz"):
-            path = tmp_path / filename
-            trace.save(str(path))
+    def test_file_round_trip_plain_and_gzip(self, v1_loops_fixture, tmp_path):
+        wrapped = tmp_path / "loops.trace.json.gz"
+        with gzip.open(wrapped, "wb") as handle:
+            handle.write(v1_loops_fixture.read_bytes())
+        for path in (v1_loops_fixture, wrapped):
             loaded = Trace.load(str(path))
-            assert loaded.digest() == trace.digest()
+            assert loaded.digest() == V1_LOOPS_DIGEST
+            assert loaded.mask == EV_LOOP and len(loaded.events) == 264
 
-    def test_replay_from_round_tripped_trace_matches(self, recorded_session, trace):
+    def test_replay_from_round_tripped_trace_matches(
+        self, recorded_session, trace, tmp_path
+    ):
         session, live_results = recorded_session
-        reloaded = Trace.from_json(trace.to_json())
+        path = tmp_path / "nm.trace.bin"
+        write_binary_trace(trace, str(path))
+        reloaded = open_trace_source(str(path)).load()
         replayed = session.replay_trace(reloaded, COMPOSED)
         assert replayed.payloads == live_results["Normal Mapping"].payloads
 
@@ -119,14 +141,16 @@ class TestSchemaRoundTrip:
         assert trace.covers(pipeline_trace_mask())
 
 
+def _v1_document(path):
+    """The parsed JSON of a committed single-document v1 fixture."""
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 class TestGracefulErrors:
-    def test_truncated_file_raises_format_error(self, recorded_session, tmp_path):
-        session, _ = recorded_session
-        trace = session.trace_store.traces_for(
-            workload_fingerprint(get_workload("Normal Mapping"))
-        )[0]
+    def test_truncated_file_raises_format_error(self, v1_loops_fixture, tmp_path):
+        text = v1_loops_fixture.read_text(encoding="utf-8")
         path = tmp_path / "truncated.trace.json"
-        path.write_text(trace.to_json()[: len(trace.to_json()) // 2], encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
         with pytest.raises(TraceFormatError):
             Trace.load(str(path))
 
@@ -142,45 +166,37 @@ class TestGracefulErrors:
         with pytest.raises(TraceFormatError):
             Trace.from_dict(["not", "a", "dict"])
 
-    def test_version_mismatch_raises_version_error(self, recorded_session):
-        session, _ = recorded_session
-        trace = session.trace_store.traces_for(
-            workload_fingerprint(get_workload("Normal Mapping"))
-        )[0]
-        data = trace.to_dict()
+    def test_version_mismatch_raises_version_error(self, v1_loops_fixture):
+        data = _v1_document(v1_loops_fixture)
         data["version"] = 999
         with pytest.raises(TraceVersionError):
             Trace.from_dict(data)
 
-    def test_malformed_records_raise_format_error(self, recorded_session):
-        session, _ = recorded_session
-        trace = session.trace_store.traces_for(
-            workload_fingerprint(get_workload("Normal Mapping"))
-        )[0]
-        data = trace.to_dict()
+    def test_malformed_records_raise_format_error(self, v1_loops_fixture):
+        data = _v1_document(v1_loops_fixture)
         data["events"] = [[999, 0.0]]
         with pytest.raises(TraceFormatError):
             Trace.from_dict(data)
 
-    def test_out_of_range_intern_indexes_raise_format_error(self, recorded_session):
+    def test_out_of_range_intern_indexes_raise_format_error(self, v1_loops_fixture):
         # Out-of-range (and especially *negative*) intern indexes must fail
         # at load, not alias to the wrong entry mid-replay.
-        session, _ = recorded_session
-        trace = session.trace_store.traces_for(
-            workload_fingerprint(get_workload("Normal Mapping"))
-        )[0]
         from repro.jsvm.hooks import TR_PROP_READ, TR_VAR_WRITE
 
-        for bad_record in (
-            [TR_PROP_READ, 0.0, 99_999_999, 0, -1],  # object index too large
-            [TR_PROP_READ, 0.0, -3, 0, -1],  # negative object index aliases
-            [TR_VAR_WRITE, 0.0, 0, 99_999_999, -1],  # env index too large
-            [TR_VAR_WRITE, 0.0, -2, 0, -1],  # negative string index aliases
-            [TR_PROP_READ, 0.0, 0, 0],  # wrong arity
+        for bad_record, reason in (
+            ([TR_PROP_READ, 0.0, 99_999_999, 0, -1], "object index"),
+            ([TR_PROP_READ, 0.0, -3, 0, -1], "object index"),  # would alias
+            ([TR_VAR_WRITE, 0.0, 0, 99_999_999, -1], "environment index"),
+            ([TR_VAR_WRITE, 0.0, -2, 0, -1], "string index"),  # would alias
+            ([TR_PROP_READ, 0.0, 0, 0], "malformed trace record"),  # arity
         ):
-            data = trace.to_dict()
+            data = _v1_document(v1_loops_fixture)
+            # The loop-only fixture has no objects or environments; give each
+            # table one entry so only the targeted index is out of range.
+            data["objects"] = [[0, 0, 0, -1]]
+            data["env_count"] = 1
             data["events"] = [bad_record]
-            with pytest.raises(TraceFormatError):
+            with pytest.raises(TraceFormatError, match=reason):
                 Trace.from_dict(data)
 
     def test_insufficient_mask_raises_mask_error(self):
@@ -193,12 +209,9 @@ class TestGracefulErrors:
         with pytest.raises(TraceMaskError, match="does not cover"):
             TraceReplayer(narrow).replay([GeckoProfiler()])
 
-    def test_fingerprint_mismatch_raises(self, recorded_session):
+    def test_fingerprint_mismatch_raises(self, recorded_session, v1_loops_fixture):
         session, _ = recorded_session
-        trace = session.trace_store.traces_for(
-            workload_fingerprint(get_workload("Normal Mapping"))
-        )[0]
-        data = trace.to_dict()
+        data = _v1_document(v1_loops_fixture)
         data["fingerprint"] = "0" * 64
         stale = Trace.from_dict(data)
         with pytest.raises(TraceMismatchError, match="fingerprint"):

@@ -1,12 +1,16 @@
 """Streaming (chunked) trace replay: format, failure modes, payload identity.
 
-The load-bearing claims of the bounded-memory replay layer:
+The package writes only the binary container now; the v1 chunked NDJSON
+format stays readable, and these tests pin its reader through the committed
+fixture ``tests/fixtures/myscript-v1-chunks.trace.json.gz`` (and gzip'd tmp
+copies of it).  The fixture is compared with itself — streamed against
+``load()``ed, re-derived digest against header digest — never with a fresh
+recording, so a later VM change cannot make it stale.  The load-bearing
+claims of the bounded-memory replay layer:
 
-* a chunked trace file round-trips to the exact digest of the trace it was
-  written from, and a trace that fits in one chunk stays byte-compatible
-  with the legacy ``Trace.save`` format;
+* a chunked trace file materializes to the exact digest its header records;
 * replaying a chunked file source produces payloads **byte-identical** to
-  replaying the resident trace it was written from (a single chunk);
+  replaying the resident trace it materializes to (a single chunk);
 * every corruption mode (truncation mid-chunk, missing footer, sequence
   gaps, intern deltas referencing unseen ids) raises
   :class:`TraceFormatError` — and an insufficient recorded mask raises
@@ -15,14 +19,13 @@ The load-bearing claims of the bounded-memory replay layer:
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import logging
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
 from repro.api import AnalysisSession, RunSpec
 from repro.api.spec import DEPENDENCE, GECKO, LIGHTWEIGHT, LOOP_PROFILE
 from repro.jsvm.hooks import (
@@ -32,13 +35,10 @@ from repro.jsvm.hooks import (
     TraceFormatError,
     TraceMaskError,
     TraceReplayer,
-    TraceWriter,
     open_trace_source,
     stream_chunk_events,
 )
-from repro.workloads import get_workload
 
-WORKLOAD = "MyScript"
 CHUNK_EVENTS = 512
 COMPOSED = RunSpec.composed(LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE)
 
@@ -50,81 +50,57 @@ def payload_digest(payload) -> str:
 
 
 @pytest.fixture(scope="module")
-def recorded():
-    """One recorded full-mask trace of the smallest bundled workload."""
-    runner = CaseStudyRunner()
-    workload = get_workload(WORKLOAD)
-    return workload, runner.record_trace(workload, pipeline_trace_mask())
+def chunked_path(v1_chunks_fixture):
+    """The committed multi-chunk v1 file (gzip-wrapped NDJSON)."""
+    return str(v1_chunks_fixture)
 
 
 @pytest.fixture(scope="module")
-def chunked_path(recorded, tmp_path_factory):
-    """The recorded trace written as a multi-chunk (uncompressed) file."""
-    _workload, trace = recorded
-    path = tmp_path_factory.mktemp("stream") / "myscript.trace.json"
-    chunks = TraceWriter.write_trace(
-        trace, str(path), chunk_events=CHUNK_EVENTS, encoding="json"
-    )
-    assert chunks == -(-len(trace.events) // CHUNK_EVENTS)
-    assert chunks > 1, "fixture must exercise the multi-chunk layout"
-    return str(path)
+def loaded(chunked_path):
+    """The chunked fixture materialized whole (its digest checked on load)."""
+    return open_trace_source(chunked_path).load()
 
 
 def _mutated(chunked_path, tmp_path, name, mutate):
-    """Copy the chunked file through a line-level mutation."""
-    lines = Path(chunked_path).read_text(encoding="utf-8").splitlines()
+    """Copy the chunked file through gzip and a line-level mutation."""
+    with gzip.open(chunked_path, "rt", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     out = tmp_path / name
-    out.write_text("\n".join(mutate(lines)) + "\n", encoding="utf-8")
+    with gzip.open(out, "wt", encoding="utf-8") as handle:
+        handle.write("\n".join(mutate(lines)) + "\n")
     return str(out)
 
 
 class TestChunkedFormat:
     def test_open_returns_streaming_source_with_header_identity(
-        self, recorded, chunked_path
+        self, chunked_path, loaded
     ):
-        _workload, trace = recorded
         source = open_trace_source(chunked_path)
         assert isinstance(source, TraceFileSource)
-        assert source.workload == trace.workload
-        assert source.fingerprint == trace.fingerprint
-        assert source.mask == trace.mask
-        assert source.event_count == len(trace.events)
-        assert source.digest() == trace.digest()
-        assert source.covers(pipeline_trace_mask())
+        assert source.workload == loaded.workload == "MyScript"
+        assert source.fingerprint == loaded.fingerprint
+        assert source.mask == loaded.mask
+        assert source.chunk_events == CHUNK_EVENTS
+        assert source.event_count == len(loaded.events)
+        assert source.chunk_count() == -(-source.event_count // CHUNK_EVENTS)
+        assert source.chunk_count() > 1, "fixture must be multi-chunk"
+        assert source.digest() == loaded.digest()
 
-    def test_materialized_round_trip_matches_digest(self, recorded, chunked_path):
-        _workload, trace = recorded
-        loaded = open_trace_source(chunked_path).load()
-        assert loaded.digest() == trace.digest()
-        assert loaded.to_dict() == trace.to_dict()
-
-    def test_single_chunk_write_is_byte_identical_to_legacy_save(
-        self, recorded, tmp_path
-    ):
-        _workload, trace = recorded
-        legacy = tmp_path / "legacy.trace.json"
-        chunked = tmp_path / "one-chunk.trace.json"
-        trace.save(str(legacy))
-        assert (
-            TraceWriter.write_trace(
-                trace,
-                str(chunked),
-                chunk_events=len(trace.events),
-                encoding="json",
-            )
-            == 1
-        )
-        assert chunked.read_bytes() == legacy.read_bytes()
-        assert isinstance(open_trace_source(str(chunked)), Trace)
-
-    def test_streamed_info_helpers_match_the_trace(self, recorded, chunked_path):
-        _workload, trace = recorded
+    def test_materialized_round_trip_matches_digest(self, chunked_path):
         source = open_trace_source(chunked_path)
-        assert source.event_counts() == trace.event_counts()
+        loaded = source.load()
+        loaded._digest_cache = None  # re-derive from the materialized content
+        assert loaded.digest() == source.digest()
+        streamed = [record for chunk in source.chunks() for record in chunk.events]
+        assert streamed == loaded.events
+
+    def test_streamed_info_helpers_match_the_trace(self, chunked_path, loaded):
+        source = open_trace_source(chunked_path)
+        assert source.event_counts() == loaded.event_counts()
         assert source.table_counts() == {
-            "strings": len(trace.strings),
-            "nodes": len(trace.nodes),
-            "objects": len(trace.objects),
+            "strings": len(loaded.strings),
+            "nodes": len(loaded.nodes),
+            "objects": len(loaded.objects),
         }
 
     def test_chunk_events_knob_reads_the_environment(self, monkeypatch):
@@ -171,11 +147,10 @@ class TestChunkedFormat:
 
 class TestStreamedPayloadIdentity:
     def test_session_payloads_byte_identical_to_batch_replay(
-        self, recorded, chunked_path
+        self, loaded, chunked_path
     ):
-        _workload, trace = recorded
         session = AnalysisSession()
-        batch = session.replay_trace(trace, COMPOSED)
+        batch = session.replay_trace(loaded, COMPOSED)
         streamed = session.replay_trace(open_trace_source(chunked_path), COMPOSED)
         for mode in (LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE):
             assert payload_digest(streamed.payloads[mode]) == payload_digest(
@@ -185,11 +160,10 @@ class TestStreamedPayloadIdentity:
         assert streamed.provenance == batch.provenance
 
     def test_file_source_always_streams_and_is_replayable_twice(
-        self, recorded, chunked_path
+        self, loaded, chunked_path
     ):
         from repro.ceres.loop_profiler import LoopProfiler
 
-        _workload, trace = recorded
         source = open_trace_source(chunked_path)
         replayer = TraceReplayer(source)
 
@@ -197,7 +171,7 @@ class TestStreamedPayloadIdentity:
             return [profiler.profiles[k].as_row() for k in sorted(profiler.profiles)]
 
         batch_profiler = LoopProfiler()
-        TraceReplayer(trace).replay([batch_profiler])
+        TraceReplayer(loaded).replay([batch_profiler])
         first = LoopProfiler()
         replayer.replay([first])
         second = LoopProfiler()
@@ -211,7 +185,7 @@ class TestStreamingFailureModes:
         bad = _mutated(
             chunked_path,
             tmp_path,
-            "truncated.trace.json",
+            "truncated.trace.json.gz",
             lambda lines: lines[:1] + [lines[1][: len(lines[1]) // 2]],
         )
         source = open_trace_source(bad)  # the header is intact
@@ -220,7 +194,10 @@ class TestStreamingFailureModes:
 
     def test_missing_footer_raises_format_error(self, chunked_path, tmp_path):
         bad = _mutated(
-            chunked_path, tmp_path, "no-footer.trace.json", lambda lines: lines[:-1]
+            chunked_path,
+            tmp_path,
+            "no-footer.trace.json.gz",
+            lambda lines: lines[:-1],
         )
         with pytest.raises(TraceFormatError, match="missing footer"):
             open_trace_source(bad).verify()
@@ -229,7 +206,7 @@ class TestStreamingFailureModes:
         bad = _mutated(
             chunked_path,
             tmp_path,
-            "gap.trace.json",
+            "gap.trace.json.gz",
             lambda lines: lines[:2] + lines[3:],
         )
         with pytest.raises(TraceFormatError, match="sequence"):
@@ -255,24 +232,37 @@ class TestStreamingFailureModes:
             lines[-2] = json.dumps(chunk, separators=(",", ":"))
             return lines
 
-        bad = _mutated(chunked_path, tmp_path, "unseen-id.trace.json", poison)
+        bad = _mutated(chunked_path, tmp_path, "unseen-id.trace.json.gz", poison)
         with pytest.raises(TraceFormatError):
             open_trace_source(bad).verify()
 
-    def test_insufficient_mask_streamed_raises_mask_error(self, tmp_path):
-        runner = CaseStudyRunner()
-        workload = get_workload(WORKLOAD)
-        loops_only = runner.record_trace(workload, EV_LOOP)
-        path = tmp_path / "loops-only.trace.json"
-        TraceWriter.write_trace(loops_only, str(path), chunk_events=64, encoding="json")
-        source = open_trace_source(str(path))
+    def test_insufficient_mask_streamed_raises_mask_error(
+        self, v1_loops_fixture, chunked_path, tmp_path
+    ):
+        def loops_only_header(lines):
+            header = json.loads(lines[0])
+            header["mask"] = EV_LOOP
+            lines[0] = json.dumps(header, separators=(",", ":"))
+            return lines
+
+        narrowed = _mutated(
+            chunked_path, tmp_path, "loops.trace.json.gz", loops_only_header
+        )
+        resident = open_trace_source(str(v1_loops_fixture))
+        streamed = open_trace_source(narrowed)
+        assert isinstance(resident, Trace) and resident.mask == EV_LOOP
+        assert isinstance(streamed, TraceFileSource) and streamed.mask == EV_LOOP
         session = AnalysisSession()
-        with pytest.raises(TraceMaskError):
-            session.replay_trace(source, RunSpec.composed(DEPENDENCE))
+        for source in (resident, streamed):
+            with pytest.raises(TraceMaskError):
+                session.replay_trace(source, RunSpec.composed(DEPENDENCE))
 
     def test_corrupt_stream_yields_no_session_payload(self, chunked_path, tmp_path):
         bad = _mutated(
-            chunked_path, tmp_path, "no-payload.trace.json", lambda lines: lines[:-1]
+            chunked_path,
+            tmp_path,
+            "no-payload.trace.json.gz",
+            lambda lines: lines[:-1],
         )
         session = AnalysisSession()
         with pytest.raises(TraceFormatError):
