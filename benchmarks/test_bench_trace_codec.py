@@ -16,8 +16,9 @@ events):
   (the worker mmaps the shared segment itself).
 
 Content identity rides along: both files must materialize to the recorded
-trace's exact ``Trace.digest()``, and an incremental replay of either file
-must produce identical analysis rows.  Results land in
+trace's identity (the v1 file to ``Trace.legacy_digest()``, the identity v1
+headers carry; the binary file to ``Trace.digest()``), and an incremental
+replay of either file must produce identical analysis rows.  Results land in
 ``BENCH_trace_codec.json``; ``collect_summary.py --check`` blocks on the
 throughput/size/attach keys being present and numeric.
 """
@@ -44,10 +45,11 @@ SIZE_RATIO_GATE = 0.6
 DECODE_REPEATS = 3
 
 
-def _write_ndjson_reference(trace, path: str, chunk_events: int) -> int:
+def _write_ndjson_reference(trace, path: str, chunk_events: int, digest: str) -> int:
     """Write ``trace`` as v1 chunked gzip-NDJSON (the decode/size baseline).
 
-    A header line carrying the provenance and full-content digest, one line
+    A header line carrying the provenance and the full-content ``digest``
+    (v1 files carry :meth:`Trace.legacy_digest`), one line
     per chunk whose intern-table deltas cover exactly the entries its events
     first reference, and a footer line with the chunk and event totals.
     Returns the number of chunks written.
@@ -64,7 +66,7 @@ def _write_ndjson_reference(trace, path: str, chunk_events: int) -> int:
         "end_ms": trace.end_ms,
         "env_count": trace.env_count,
         "dropped": list(trace.dropped),
-        "digest": trace.digest(),
+        "digest": digest,
         "events": len(events),
         "chunk_events": chunk_events,
     }
@@ -130,7 +132,8 @@ def test_bench_trace_codec_gates(benchmark, tmp_path):
 
     json_path = str(tmp_path / "fluid-10x.trace.json.gz")
     bin_path = str(tmp_path / "fluid-10x.trace.bin")
-    _write_ndjson_reference(trace, json_path, CHUNK_EVENTS)
+    legacy_digest = trace.legacy_digest()
+    _write_ndjson_reference(trace, json_path, CHUNK_EVENTS, legacy_digest)
     write_binary_trace(trace, bin_path, chunk_events=CHUNK_EVENTS)
     size_json = os.path.getsize(json_path)
     size_bin = os.path.getsize(bin_path)
@@ -142,12 +145,12 @@ def test_bench_trace_codec_gates(benchmark, tmp_path):
     )
     speedup = bin_rate / json_rate
 
-    # Content identity across encodings: both files materialize to the
-    # recorded trace's digest, and incremental replay rows agree.
-    digest = trace.digest()
+    # Content identity across encodings: each file materializes to the
+    # recorded trace's identity in its format, and incremental replay rows
+    # agree.
     digest_identical = (
-        open_trace_source(json_path).load().digest() == digest
-        and open_trace_source(bin_path).load().digest() == digest
+        open_trace_source(json_path).load().digest() == legacy_digest
+        and open_trace_source(bin_path).load().digest() == trace.digest()
     )
     assert digest_identical, "an encoding diverged from the recorded trace"
     payload_identical = _loop_rows(json_path) == _loop_rows(bin_path)

@@ -397,12 +397,16 @@ class AnalysisSession:
         :class:`~repro.engine.cache.TraceStore` and is returned.  A trace
         already stored, or recorded by a pool worker during a case-study
         batch (see :meth:`AnalysisPipeline.fetch_trace`), is not recorded
-        again.
+        again.  With a disk-backed store the recording runs on a pool worker
+        when one is available (:meth:`AnalysisPipeline.record_on_pool`), and
+        in process otherwise.
         """
         if self.closed:
             raise RuntimeError("AnalysisSession is closed")
         workload = self.resolve_workload(workload)
         trace = self.pipeline.fetch_trace(workload, mask)
+        if trace is None:
+            trace = self.pipeline.record_on_pool(workload, mask)
         if trace is not None:
             return trace
         runner = self.pipeline.make_runner()

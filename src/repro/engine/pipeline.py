@@ -19,12 +19,19 @@ worker that needs it; otherwise the worker records it and keeps it, and only
 the analysis comes back.  :meth:`AnalysisPipeline.fetch_trace` hands a
 worker-held trace to the parent on demand (``AnalysisSession.record_trace``
 uses it), so a trace recorded by a batch is never recorded again.
+
+A trace nobody holds yet records on the pool too when the pipeline's store
+is a :class:`~repro.serve.store.DiskTraceStore`
+(:meth:`AnalysisPipeline.record_on_pool`): the worker stages the encoded
+segment in the store's root and keeps nothing, the parent publishes it.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import pickle
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,6 +114,24 @@ def _analysis_task(context: PoolWorkerContext, heavy, name: str, runner_kwargs):
     return _analyze_in_worker((context, heavy, name, runner_kwargs))
 
 
+def _record_segment_task(
+    context: PoolWorkerContext, heavy, stage, ref, mask: int, root: str, chunk_events
+):
+    """Pool task: record one workload and stage its trace store segment.
+
+    ``ref`` is a registered workload name (resolved in the worker, as
+    :func:`_analysis_task` does) or an ad-hoc workload shipped by value;
+    ``stage`` is the parent store's stage half
+    (:meth:`~repro.serve.store.DiskTraceStore.stage`, pickled by reference),
+    which digests and encodes the trace into a temp file under ``root``.
+    Returns its ``(tmp, row)`` for the parent to publish.  The trace never
+    enters the worker's store: the worker keeps nothing it records here.
+    """
+    workload = resolve_workload(ref) if isinstance(ref, str) else ref
+    trace = context.runner({}).record_trace(workload, mask)
+    return stage(root, trace, chunk_events)
+
+
 class AnalysisPipeline:
     """Owns caching, stage scheduling and fan-out for case-study batches.
 
@@ -150,23 +175,84 @@ class AnalysisPipeline:
         self._results: Dict[Tuple[str, ...], PipelineResult] = {}
         self._pool: Optional[WorkerPool] = None
         self._pool_failed = False
+        #: Guards pool creation and the recording counters (the serve
+        #: daemon records from several executor threads).
+        self._lock = threading.Lock()
+        #: Cold recordings a pool worker made for the disk store, and the
+        #: ones that ran in process because the pool could not take them.
+        self.pool_recordings = 0
+        self.pool_fallbacks = 0
 
     # ------------------------------------------------------------------ pool
     def _ensure_pool(self) -> Optional[WorkerPool]:
         """The pipeline's persistent pool, created lazily (None if impossible)."""
-        if self._pool is not None and not self._pool.closed:
+        with self._lock:
+            if self._pool is not None and not self._pool.closed:
+                return self._pool
+            if self._pool_failed:
+                return None
+            try:
+                self._pool = WorkerPool(width=self.workers)
+            except PoolUnavailableError:
+                self._pool_failed = True
+                logger.warning(
+                    "worker pool unavailable on this platform; running in process"
+                )
+                return None
             return self._pool
-        if self._pool_failed:
+
+    def _run_tasks(self, tasks: List[PoolTask]) -> Optional[list]:
+        """Run ``tasks`` on the pool; ``None`` → the caller runs them in process.
+
+        A worker that cannot resolve a workload name (registered after the
+        pool forked) triggers one pool refresh — respawned workers inherit
+        the current registry — and one retry.  Task exceptions and
+        :class:`~repro.engine.workerpool.WorkerCrashError` propagate.
+        """
+        pool = self._ensure_pool()
+        if pool is None:
             return None
         try:
-            self._pool = WorkerPool(width=self.workers)
-        except PoolUnavailableError:
-            self._pool_failed = True
-            logger.warning(
-                "worker pool unavailable on this platform; running batches serially"
-            )
+            try:
+                return pool.run_tasks(tasks)
+            except UnknownWorkloadError:
+                pool.refresh()
+                for task in tasks:
+                    task.attempts = 0
+                return pool.run_tasks(tasks)
+        except (PoolUnavailableError, UnknownWorkloadError):
             return None
-        return self._pool
+        except RuntimeError:
+            if pool.closed:
+                return None
+            raise
+
+    def _records_on_pool(self) -> bool:
+        """Whether cold recordings go to a pool worker: the store stages
+        segments itself (a disk store) and the resolved width is above 1."""
+        return callable(getattr(self.trace_store, "publish", None)) and (
+            resolve_worker_count(self.workers, 1 << 30) > 1
+        )
+
+    def start_pool(self) -> None:
+        """Fork the pool's first worker now, if this pipeline records on one.
+
+        A threaded server calls this before it starts any thread, so the
+        fork cannot copy a lock some other thread holds.
+        """
+        if self._records_on_pool():
+            pool = self._ensure_pool()
+            if pool is not None:
+                pool.start()
+
+    def pool_stats(self) -> Dict[str, int]:
+        """Pool counters for a server's stats endpoint (never a result)."""
+        pool = self._pool
+        return {
+            "workers_alive": len(pool.worker_pids()) if pool is not None else 0,
+            "recordings": self.pool_recordings,
+            "in_process_fallbacks": self.pool_fallbacks,
+        }
 
     def close(self) -> None:
         """Release the persistent pool (idempotent); cached results survive."""
@@ -260,9 +346,9 @@ class AnalysisPipeline:
         Batch workers keep the traces they record.  When a live worker
         reported holding ``workload``'s fingerprint and its trace covers
         ``mask``, the trace is fetched from that worker and put into the
-        parent store.  Without a pool (the daemon never runs batches), or
-        when no worker holds a covering trace, this returns ``None`` and the
-        caller records in-process.
+        parent store.  Without a pool, or when no worker holds a covering
+        trace (workers running :meth:`record_on_pool` tasks keep none), this
+        returns ``None`` and the caller records.
         """
         pool = self._pool
         if pool is None:
@@ -288,6 +374,50 @@ class AnalysisPipeline:
         if trace is not None:
             self.trace_store.put(trace)
         return trace
+
+    def record_on_pool(self, workload, mask: Optional[int] = None) -> Optional[Trace]:
+        """A trace covering ``mask``: stored, or recorded now on a pool worker.
+
+        Applies when the store stages its own segments (a
+        :class:`~repro.serve.store.DiskTraceStore`) and the resolved width
+        is above 1; otherwise this returns ``None`` at once.  The worker
+        records, digests and encodes the trace into a temp segment file in
+        the store's root and hands back ``(tmp, row)``; this process only
+        publishes it (:meth:`~repro.serve.store.DiskTraceStore.publish`), so
+        the guest, the digest and the encode never hold this process's GIL.
+        Registered workloads ship by name, ad-hoc ones by value.
+
+        ``None`` also means "record in process": the pool is unavailable,
+        or the workload cannot be pickled.  Guest exceptions propagate
+        unchanged, and a task that crashed its worker raises
+        :class:`~repro.engine.workerpool.WorkerCrashError` — it is never
+        re-run here.
+        """
+        if not self._records_on_pool():
+            return None
+        mask = mask if mask is not None else pipeline_trace_mask()
+        trace = self.trace_store.find(workload_fingerprint(workload), mask)
+        if trace is not None:
+            return trace
+        ref = workload.name if self._registry_reconstructible([workload]) else workload
+        store = self.trace_store
+        try:
+            pickle.dumps(ref)
+        except Exception:  # noqa: BLE001 - any pickling failure → in process
+            staged = None
+        else:
+            task = PoolTask(
+                fn=_record_segment_task,
+                args=(store.stage, ref, mask, str(store.root), store.chunk_events),
+                label=workload.name,
+            )
+            staged = self._run_tasks([task])
+        with self._lock:
+            if staged is None:
+                self.pool_fallbacks += 1
+                return None
+            self.pool_recordings += 1
+        return self.trace_store.publish(*staged[0])
 
     # ------------------------------------------------------------------ fanout
     @staticmethod
@@ -343,27 +473,5 @@ class AnalysisPipeline:
         )
 
     def _run_on_pool(self, workloads: Sequence) -> Optional[List[ApplicationAnalysis]]:
-        """Analyze ``workloads`` on the persistent pool; ``None`` → run serially.
-
-        A worker that cannot resolve a workload name (registered after the
-        pool forked) triggers one pool refresh — respawned workers inherit
-        the current registry — and one retry.
-        """
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        tasks = [self._pool_task(workload) for workload in workloads]
-        try:
-            try:
-                return pool.run_tasks(tasks)
-            except UnknownWorkloadError:
-                pool.refresh()
-                for task in tasks:
-                    task.attempts = 0
-                return pool.run_tasks(tasks)
-        except (PoolUnavailableError, UnknownWorkloadError):
-            return None
-        except RuntimeError:
-            if pool.closed:
-                return None
-            raise
+        """Analyze ``workloads`` on the persistent pool; ``None`` → run serially."""
+        return self._run_tasks([self._pool_task(workload) for workload in workloads])

@@ -1,17 +1,24 @@
 """Persistent worker pool: the one way the pipeline uses more than one process.
 
-:class:`~repro.engine.pipeline.AnalysisPipeline` fans a case-study batch out
-across workloads on one :class:`WorkerPool`; a batch that cannot use it runs
-serially in-process.
+:class:`~repro.engine.pipeline.AnalysisPipeline` uses one :class:`WorkerPool`
+for two kinds of work, and runs either in process when the pool cannot:
+
+* a case-study batch fans out across workloads, one analysis task each;
+* with a disk-backed trace store, a cold trace is recorded on a worker,
+  which also digests and encodes it into a temp segment file; the parent
+  only publishes that file (the serve daemon's cold keys take this path,
+  so guest execution leaves the daemon's GIL).
 
 * Workers are long-lived processes forked once per pool (lazily, on the
-  first batch) and reused across batches.  Each worker owns a persistent
+  first batch, or up front through :meth:`WorkerPool.start` — the daemon
+  forks its first worker before it starts any thread) and reused across
+  batches.  Each worker owns a persistent
   :class:`~repro.engine.cache.ScriptCache`,
   :class:`~repro.engine.cache.BytecodeCache` and
   :class:`~repro.engine.cache.TraceStore`.  Bytecode and any trace the
   parent already holds ship **once per worker**.
-* Workers keep the traces they record.  Nothing is pickled back but the
-  analysis; the parent learns which fingerprints a worker holds (its
+* Batch workers keep the traces they record.  Nothing is pickled back but
+  the analysis; the parent learns which fingerprints a worker holds (its
   ``cache_keys``, see :meth:`WorkerPool.holdings`) and fetches one trace
   from its owner only when a caller asks for it.
 * Tasks flow through per-worker deques with fingerprint affinity (a task for
@@ -141,8 +148,9 @@ class PoolWorkerContext:
         try:
             source = open_trace_source(ref["path"])
             if isinstance(source, Trace):
-                # Legacy single-document segment: already fully decoded.
-                if source.digest() != ref["digest"]:
+                # Legacy single-document segment: already fully decoded, and
+                # indexed under the identity stores wrote for v1 segments.
+                if source.legacy_digest() != ref["digest"]:
                     raise TraceError(
                         f"segment {ref['path']!r} digest does not match its reference"
                     )
@@ -306,10 +314,10 @@ class WorkerPool:
     """Long-lived fork-based worker pool with work stealing and crash recovery.
 
     One pool per :class:`~repro.engine.pipeline.AnalysisPipeline`, forked on
-    its first multi-workload batch.  Batches are driven synchronously by the
-    submitting thread under an internal lock, so concurrent submitters
-    serialize at batch granularity — the workers themselves stay busy across
-    batches.
+    its first batch or by :meth:`start`.  Batches (a single cold recording
+    is a batch of one) are driven synchronously by the submitting thread
+    under an internal lock, so concurrent submitters serialize at batch
+    granularity — the workers themselves stay busy across batches.
     """
 
     def __init__(self, width: Optional[int] = None) -> None:
@@ -341,9 +349,24 @@ class WorkerPool:
         return self._closed
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the live workers (spawned so far; may be fewer than width)."""
+        """PIDs of the live workers (spawned so far; may be fewer than width).
+
+        Reads a snapshot of the handle list without the pool lock, so a
+        stats reader never waits out a batch in flight.
+        """
+        return [h.process.pid for h in list(self._handles) if h.process.is_alive()]
+
+    def start(self, workers: int = 1) -> None:
+        """Fork up to ``workers`` workers now rather than on the first batch.
+
+        ``fork`` copies only the calling thread, and a lock another thread
+        holds at that moment stays held in the child forever; a threaded
+        server therefore starts its workers before its first thread.
+        """
         with self._lock:
-            return [h.process.pid for h in self._handles if h.process.is_alive()]
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            self._ensure_workers(workers)
 
     def holdings(self) -> Dict[int, frozenset]:
         """Cache keys (trace fingerprints) each live worker holds, by PID."""

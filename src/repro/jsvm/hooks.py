@@ -67,6 +67,7 @@ import hashlib
 import io
 import json
 import logging
+import marshal
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -519,6 +520,11 @@ _OBJ_ARRAY = 1  #: a guest ``JSArray``
 _OBJ_CALLABLE = 2  #: a guest function (``JSFunction`` / ``NativeFunction``)
 _OBJ_OPAQUE = 3  #: defensive: a non-JSObject event payload
 
+#: Events per ``marshal`` slice in :meth:`Trace.digest`: bounds the bytes
+#: one slice serializes to on traces of millions of events.  Part of the
+#: digest definition — changing it changes every digest.
+_DIGEST_SLICE_EVENTS = 1 << 16
+
 
 class TraceError(Exception):
     """Base class for trace-layer failures."""
@@ -582,12 +588,49 @@ class Trace:
     def digest(self) -> str:
         """Stable content hash of the full trace (schema + tables + events).
 
+        A SHA-256 over ``marshal`` version 2 of the header fields, the string
+        table, the node/object tables and the event records, the latter in
+        fixed slices of :data:`_DIGEST_SLICE_EVENTS`.  Marshal writes a
+        string as its length-prefixed UTF-8 and keeps ``1``/``True``/``1.0``
+        and ``0.0``/``-0.0`` apart.  Version 2 writes no back-references, so
+        equal recordings hash equal regardless of object sharing; lists are
+        normalized to tuples first because marshal gives ``[`` and ``(``
+        different bytes.
+
         Traces are immutable once recorded, so the hash (an O(events) pass)
-        is computed once and cached.
+        is computed once and cached.  A trace loaded from a file adopts the
+        digest its header carries (see :meth:`legacy_digest` for files whose
+        header holds the older identity).
         """
         cached = getattr(self, "_digest_cache", None)
         if cached is not None:
             return cached
+        hasher = hashlib.sha256()
+        header = (
+            self.version,
+            self.mask,
+            self.workload,
+            self.fingerprint,
+            self.ms_per_op,
+            self.start_ms,
+            self.end_ms,
+            self.env_count,
+            tuple(self.dropped),
+        )
+        hasher.update(marshal.dumps(header, 2))
+        hasher.update(marshal.dumps(tuple(self.strings), 2))
+        hasher.update(marshal.dumps(tuple(map(tuple, self.nodes)), 2))
+        hasher.update(marshal.dumps(tuple(map(tuple, self.objects)), 2))
+        events = self.events
+        for start in range(0, len(events), _DIGEST_SLICE_EVENTS):
+            batch = events[start : start + _DIGEST_SLICE_EVENTS]
+            hasher.update(marshal.dumps(tuple(map(tuple, batch)), 2))
+        self._digest_cache = hasher.hexdigest()
+        return self._digest_cache
+
+    def legacy_digest(self) -> str:
+        """The ``repr``-join content hash that v1 files and container-2
+        segments carry in their headers (read-only: verifies those loads)."""
         hasher = hashlib.sha256()
         hasher.update(
             f"{self.version}\x00{self.mask}\x00{self.workload}\x00{self.fingerprint}"
@@ -602,8 +645,7 @@ class Trace:
                 hasher.update(("\x00t" + ",".join(map(repr, entry))).encode("utf-8"))
         for record in self.events:
             hasher.update(("\x00e" + ",".join(map(repr, record))).encode("utf-8"))
-        self._digest_cache = hasher.hexdigest()
-        return self._digest_cache
+        return hasher.hexdigest()
 
     def event_counts(self) -> Dict[str, int]:
         """Record count per event name (``trace info``)."""
@@ -977,7 +1019,8 @@ class TraceFileSource:
         return self
 
     def load(self) -> Trace:
-        """Materialize the full :class:`Trace`, checking the header digest."""
+        """Materialize the full :class:`Trace`, checking the header digest
+        (the :meth:`Trace.legacy_digest` identity) and adopting it."""
         trace = Trace(
             mask=self.mask,
             workload=self.workload,
@@ -994,11 +1037,12 @@ class TraceFileSource:
             trace.nodes.extend(chunk.nodes)
             trace.objects.extend(chunk.objects)
             trace.events.extend(chunk.events)
-        if trace.digest() != self._digest:
+        if trace.legacy_digest() != self._digest:
             raise TraceFormatError(
                 f"chunked trace {self.path!r} content does not match its "
                 "header digest"
             )
+        trace._digest_cache = self._digest
         return trace
 
     def event_counts(self) -> Dict[str, int]:

@@ -28,8 +28,8 @@ C-level bulk operations only —
 
 Columns whose values are not plainly typed (a hand-built v1 trace may carry
 ``int`` clock stamps or ``bool`` flags) fall back to a JSON-encoded column,
-preserving ``repr``-level type identity — the digest contract — for any
-value the v1 formats could express.
+preserving type identity (``1`` vs ``1.0`` vs ``True``) — the digest
+contract — for any value the v1 formats could express.
 
 Wire layout (all framing little-endian, ``varint`` = LEB128)::
 
@@ -51,9 +51,9 @@ every chunk frame (``u32 body_len`` + body), i.e. of the file from byte 12
 up to the footer.  The reader checks it once per source before the first
 chunk decodes, and ``load()`` then adopts the header digest instead of
 re-deriving :meth:`Trace.digest` over every event.  Container-2 files have
-no ``content_hash`` and keep the full digest pass on ``load()``.  The hash
-protects the bytes, not the decoder: every structural and intern-index
-check still runs on each chunk.
+no ``content_hash`` and keep the full (legacy) digest pass on ``load()``.
+The hash protects the bytes, not the decoder: every structural and
+intern-index check still runs on each chunk.
 
 The chunk invariant matches the NDJSON stream: a chunk's events reference
 only intern entries carried by this or an earlier chunk, so replay stays
@@ -64,7 +64,6 @@ mirrors the :class:`~repro.jsvm.hooks.TraceFileSource` surface.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import io
 import json
@@ -290,8 +289,8 @@ def _int_column_candidate(values: List[int]):
 def _encode_int_column(values: List[Any]) -> bytes:
     """Encode one column of strict ints, balancing size against decode cost.
 
-    Strict ints (``bool`` is *not* an int here — its ``repr`` differs, and
-    the digest contract is ``repr`` identity) try raw and first-order delta
+    Strict ints (``bool`` is *not* an int here — the digest tells them apart,
+    and the digest contract is type identity) try raw and first-order delta
     transforms.  Raw (order-0) decodes cheaper — no prefix-sum pass — so it
     wins unless the delta payload is more than 4× smaller (per-column zlib
     absorbs most of the residual size difference anyway).  Anything not
@@ -799,21 +798,6 @@ def _validate_group(
 # ===========================================================================
 # writer
 # ===========================================================================
-class _CountingSink:
-    """Byte-offset-tracking wrapper so footer offsets address the *logical*
-    stream (identical for raw files and the gzip-wrapped variant)."""
-
-    __slots__ = ("_handle", "offset")
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-        self.offset = 0
-
-    def write(self, data: bytes) -> None:
-        self._handle.write(data)
-        self.offset += len(data)
-
-
 def _chunk_deltas(trace, chunk_events: int):
     """Split ``trace`` into chunk-sized event batches with intern deltas.
 
@@ -882,9 +866,8 @@ def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> 
     the footer content hash (container :data:`BINARY_CONTAINER_VERSION`).
 
     Returns the number of chunks written.  ``chunk_events`` bounds events per
-    chunk (``None``/non-positive → one chunk).  A ``.gz`` path gets a gzip
-    wrapper (offsets then address the decompressed stream; such files decode
-    from memory instead of mmap).
+    chunk (``None``/non-positive → one chunk).  The file name never selects
+    an encoding: every path gets the raw container, which readers mmap.
     """
     from .hooks import stream_chunk_events
 
@@ -913,35 +896,34 @@ def write_binary_trace(trace, path: str, chunk_events: Optional[int] = None) -> 
     header_blob = json.dumps(header, separators=(",", ":"), sort_keys=True).encode(
         "utf-8"
     )
-    raw = gzip.open(path, "wb") if str(path).endswith(".gz") else io.open(path, "wb")
     offsets: List[int] = []
-    written = 0
     content_hash = hashlib.sha256(header_blob)
-    with raw:
-        sink = _CountingSink(raw)
-        sink.write(BINARY_MAGIC)
-        sink.write(_U32.pack(len(header_blob)))
-        sink.write(header_blob)
+    with io.open(path, "wb") as handle:
+        handle.write(BINARY_MAGIC)
+        handle.write(_U32.pack(len(header_blob)))
+        handle.write(header_blob)
+        offset = len(BINARY_MAGIC) + 4 + len(header_blob)
         for index, (batch, strings, nodes, objects, env_delta) in enumerate(
             _chunk_deltas(trace, chunk_events)
         ):
-            offsets.append(sink.offset)
+            offsets.append(offset)
             body = _encode_chunk(trace, index, batch, strings, nodes, objects, env_delta)
             frame_len = _U32.pack(len(body))
             content_hash.update(frame_len)
             content_hash.update(body)
-            sink.write(frame_len)
-            sink.write(body)
-            written += 1
+            handle.write(frame_len)
+            handle.write(body)
+            offset += len(frame_len) + len(body)
+        written = len(offsets)
         footer = bytearray()
         footer += _encode_varint(written)
         footer += _encode_varint(len(trace.events))
         footer += content_hash.digest()
-        for offset in offsets:
-            footer += _U64.pack(offset)
-        sink.write(bytes(footer))
-        sink.write(_U32.pack(len(footer)))
-        sink.write(BINARY_END_MAGIC)
+        for chunk_offset in offsets:
+            footer += _U64.pack(chunk_offset)
+        handle.write(bytes(footer))
+        handle.write(_U32.pack(len(footer)))
+        handle.write(BINARY_END_MAGIC)
     if written != chunk_count:  # pragma: no cover - arithmetic invariant
         raise _trace_error("binary trace writer lost a chunk")
     return written
@@ -1202,7 +1184,8 @@ class BinaryTraceSource:
 
         A sealed file's bytes passed the footer hash in :meth:`chunks`, so
         the header digest is adopted as is; a container-2 file re-derives
-        the digest over every event and compares."""
+        its header's identity (:meth:`~repro.jsvm.hooks.Trace.legacy_digest`)
+        over every event, compares, then adopts it."""
         from .hooks import Trace
 
         trace = Trace(
@@ -1221,13 +1204,12 @@ class BinaryTraceSource:
             trace.nodes.extend(chunk.nodes)
             trace.objects.extend(chunk.objects)
             trace.events.extend(chunk.events)
-        if self.integrity == "sha256":
-            trace._digest_cache = self._digest
-        elif trace.digest() != self._digest:
+        if self.integrity == "digest-pass" and trace.legacy_digest() != self._digest:
             raise _trace_error(
                 f"binary trace {self.path!r} content does not match its "
                 "header digest"
             )
+        trace._digest_cache = self._digest
         return trace
 
     def event_counts(self) -> Dict[str, int]:

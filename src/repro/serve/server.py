@@ -11,8 +11,8 @@ Endpoints (all JSON; see :mod:`repro.serve.protocol` for shapes):
 * ``GET  /healthz`` — liveness + listen address;
 * ``GET  /v1/workloads`` — registered workloads with content fingerprints,
   so clients can key submissions and cache lookups without running anything;
-* ``GET  /v1/stats`` — request/queue/store counters (``recordings`` is the
-  number of guest executions — the single-flight proof);
+* ``GET  /v1/stats`` — request/queue/store/pool counters (``recordings``
+  is the number of guest executions — the single-flight proof);
 * ``POST /v1/analyze`` — one submission object → one response envelope, or
   ``{"requests": [...]}`` → an NDJSON stream of envelopes, each line
   written as its analysis completes.
@@ -21,6 +21,15 @@ Every submission maps to a replaying, non-publishing
 :class:`~repro.api.spec.RunSpec` (see the protocol module's byte-identity
 notes): a cold key records the workload's union-mask trace once into the
 shared store, every later (or coalesced concurrent) request replays it.
+
+With a disk store, a cold key records on the session pipeline's worker
+pool (:meth:`~repro.engine.pipeline.AnalysisPipeline.record_on_pool`): a
+worker runs the guest, digests and encodes the trace into a temp segment
+in the store root, and the daemon only publishes it — so warm replays keep
+the daemon's GIL while a recording runs.  The first worker forks in
+``ServeDaemon.__init__``, before any executor or HTTP thread exists.
+Without ``fork``, or with an in-memory store or a pool width of 1, cold
+keys record in process.  ``/v1/stats`` reports the pool under ``pool``.
 """
 
 from __future__ import annotations
@@ -62,6 +71,8 @@ class ServeDaemon:
             DiskTraceStore(store_dir) if store_dir is not None else TraceStore()
         )
         self.session = AnalysisSession(trace_store=self.store, default_tier=default_tier)
+        # Fork the recording worker while this is still the only thread.
+        self.session.pipeline.start_pool()
         self.executor = SingleFlightExecutor(workers=workers, queue_depth=queue_depth)
         self.request_log = request_log
         self.started_at = time.monotonic()
@@ -144,6 +155,7 @@ class ServeDaemon:
             "recordings": store.puts,
             "queue": self.executor.stats(),
             "store": store_stats,
+            "pool": self.session.pipeline.pool_stats(),
         }
 
     def submit(self, request: SubmitRequest) -> Job:

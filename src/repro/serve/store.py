@@ -25,6 +25,12 @@ Durability and corruption policy:
 * segments and the index are written atomically (temp file + ``os.replace``),
   and the index is additionally re-written by :meth:`flush` /
   :meth:`close` — the serve daemon calls ``close()`` on shutdown;
+* a put is two halves: :meth:`DiskTraceStore.stage` encodes the segment
+  to a temp file in the root (no lock, no store state — a pool worker runs
+  it for the daemon's cold keys) and a locked publish renames it into
+  place and updates the index (:meth:`~DiskTraceStore.publish` for a
+  segment staged by another process).  A temp file left by a writer that
+  died is deleted when a store next opens the root;
 * a corrupt, truncated or fingerprint-mismatched segment is a clean *miss*:
   the entry is dropped from the index (and the file best-effort unlinked),
   never an exception out of ``find`` — the caller simply re-records.
@@ -37,7 +43,7 @@ import os
 import threading
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..engine.cache import TraceStore
 from ..jsvm.hooks import Trace, TraceError
@@ -54,6 +60,10 @@ class DiskTraceStore(TraceStore):
         super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # A writer that died mid-stage (a crashed pool worker, a killed
+        # daemon) leaves its temp file behind; nothing else ever reads one.
+        for leftover in self.root.glob("*.tmp"):
+            leftover.unlink(missing_ok=True)
         #: Events per segment chunk (None → the REPRO_TRACE_CHUNK_EVENTS /
         #: built-in default at write time).
         self.chunk_events = chunk_events
@@ -145,78 +155,105 @@ class DiskTraceStore(TraceStore):
             pass
 
     # ------------------------------------------------------------- contract
-    def _write_segment_tmp(self, trace: Trace, target: Path) -> Path:
-        """Write ``trace`` to a unique temp sibling of ``target`` and return it.
-
-        Called **outside** ``_io_lock``: segment serialization is the
-        expensive part of a put (columnar encode of the whole event list),
-        and holding the lock across it would serialize every concurrent
-        tenant.  The pid+tid-unique name keeps racing writers of the same
-        digest from clobbering each other's temp file.
-        """
-        from ..jsvm import tracecodec
-
-        tmp = target.with_name(
-            f"{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-        )
-        tracecodec.write_binary_trace(trace, str(tmp), chunk_events=self.chunk_events)
-        return tmp
-
-    def put(self, trace: Trace) -> Trace:
-        """Store and persist ``trace``, evicting covered segments on disk too.
-
-        The segment write happens *outside* ``_io_lock`` (temp file, unique
-        name); the lock guards only the index mutation and the atomic
-        ``os.replace`` publish, so concurrent puts from different tenants
-        overlap their serialization work.
-        """
-        super().put(trace)
+    @staticmethod
+    def _row(trace: Trace) -> dict:
+        """The index row ``trace``'s segment is published under."""
         digest = trace.digest()
-        entry = {
+        return {
             "fingerprint": trace.fingerprint,
             "digest": digest,
             "mask": trace.mask,
             "workload": trace.workload,
             "events": len(trace.events),
-            "file": self._segment_name(trace.fingerprint, digest),
+            "file": DiskTraceStore._segment_name(trace.fingerprint, digest),
         }
-        target = self._segment_path(entry)
+
+    @staticmethod
+    def stage(root, trace: Trace, chunk_events: Optional[int] = None) -> Tuple[Path, dict]:
+        """Encode ``trace`` to a temp segment file under ``root``.
+
+        Returns ``(tmp, row)``: the temp file and the index row
+        :meth:`publish` installs it under.  This is the expensive half of a
+        put (digest plus columnar encode of the whole event list), so it runs
+        **outside** ``_io_lock`` — and, for the daemon's cold keys, in a pool
+        worker that holds no store at all.  The pid+tid-unique name keeps
+        racing writers of the same digest from clobbering each other's temp
+        file.
+        """
+        from ..jsvm import tracecodec
+
+        row = DiskTraceStore._row(trace)
+        tmp = Path(root) / f"{row['file']}.{os.getpid()}-{threading.get_ident()}.tmp"
+        tracecodec.write_binary_trace(trace, str(tmp), chunk_events=chunk_events)
+        return tmp, row
+
+    def _publish(self, tmp: Optional[Path], row: dict, trace: Optional[Trace] = None) -> None:
+        """The locked half of a put: evict covered rows, rename, index.
+
+        ``tmp`` is consumed either way: renamed onto the segment name, or
+        unlinked when an identical digest is already published.  ``tmp`` may
+        be ``None`` only when the caller saw the digest indexed already;
+        ``trace`` then re-stages it in the rare race where a covering
+        concurrent put evicted that row meanwhile.
+        """
+        try:
+            with self._io_lock:
+                rows = self._index.get(row["fingerprint"], [])
+                for existing in [r for r in rows if not (r["mask"] & ~row["mask"])]:
+                    if existing["digest"] != row["digest"]:
+                        self._drop_entry_locked(existing)
+                rows = self._index.setdefault(row["fingerprint"], [])
+                if not any(r["digest"] == row["digest"] for r in rows):
+                    if tmp is None:
+                        tmp, row = self.stage(self.root, trace, self.chunk_events)
+                    os.replace(tmp, self._segment_path(row))
+                    rows.append(row)
+                    self.segments_written += 1
+                    self._dirty = True
+                if self._dirty:
+                    # A re-put of a known digest changes nothing: skip the
+                    # full index rewrite (it is O(store size) JSON on disk).
+                    self._write_index_locked()
+        finally:
+            if tmp is not None:
+                # Gone after a rename; a loser of the publish race (or any
+                # failure above) leaves no orphan behind.
+                Path(tmp).unlink(missing_ok=True)
+
+    def put(self, trace: Trace) -> Trace:
+        """Store and persist ``trace``, evicting covered segments on disk too.
+
+        :meth:`stage` then :meth:`_publish`: the segment write happens
+        outside ``_io_lock``, which guards only the index mutation and the
+        atomic ``os.replace``, so concurrent puts from different tenants
+        overlap their serialization work.
+        """
+        super().put(trace)
+        row = self._row(trace)
         with self._io_lock:
             known = any(
-                row["digest"] == digest
-                for row in self._index.get(trace.fingerprint, ())
+                existing["digest"] == row["digest"]
+                for existing in self._index.get(trace.fingerprint, ())
             )
         tmp = None
         if not known:
-            tmp = self._write_segment_tmp(trace, target)
-        published = False
-        with self._io_lock:
-            rows = self._index.get(trace.fingerprint, [])
-            for existing in [row for row in rows if trace.covers(row["mask"])]:
-                if existing["digest"] != digest:
-                    self._drop_entry_locked(existing)
-            rows = self._index.setdefault(trace.fingerprint, [])
-            if not any(row["digest"] == digest for row in rows):
-                if tmp is None:
-                    # Rare race: the pre-check saw our digest, but a covering
-                    # concurrent put evicted it before we re-took the lock.
-                    tmp = self._write_segment_tmp(trace, target)
-                os.replace(tmp, target)
-                published = True
-                rows.append(entry)
-                self.segments_written += 1
-                self._dirty = True
-            if self._dirty:
-                # A re-put of a known digest changes nothing: skip the
-                # full index rewrite (it is O(store size) JSON on disk).
-                self._write_index_locked()
-        if tmp is not None and not published:
-            # Lost the publish race to an identical concurrent put.
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            tmp, row = self.stage(self.root, trace, self.chunk_events)
+        self._publish(tmp, row, trace)
         return trace
+
+    def publish(self, tmp, row: dict) -> Trace:
+        """Install a segment another process staged, and serve it.
+
+        A pool worker recorded the trace and ran :meth:`stage` into this
+        store's root; this publishes ``(tmp, row)`` under the lock, loads the
+        segment back through its footer-hash check (the header digest is
+        adopted, not re-derived), installs the trace in the memory tier and
+        counts it as a recording, exactly as :meth:`put` would have.  The
+        temp file never outlives a failure here.
+        """
+        self._publish(Path(tmp), row)
+        trace = Trace.load(str(self._segment_path(row)))
+        return TraceStore.put(self, trace)
 
     def _covering_locked(self, fingerprint: str, required_mask: int) -> List[dict]:
         """Index rows covering ``required_mask``, narrowest mask first."""

@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from repro.analysis.amdahl import amdahl_speedup, parallel_fraction_needed
 from repro.ceres.dependence import DependenceAnalyzer
 from repro.ceres.loopstack import LoopStack, StackEntry, diff_stamp, is_problematic
 from repro.ceres.welford import OnlineStats
-from repro.jsvm.hooks import Trace
+from repro.jsvm.hooks import TR_LOOP_ITER, TR_STATEMENT, Trace
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.lexer import tokenize
 from repro.jsvm.tokens import TokenType
@@ -416,3 +417,25 @@ def test_binary_round_trip_re_derives_the_header_digest(trace, chunk_events):
             source.close()
     loaded._digest_cache = None
     assert loaded.digest() == source.digest()
+
+
+#: Values that compare equal in Python but are different trace content.
+_LOOKALIKES = ((1, True, 1.0), (0, False, 0.0, -0.0))
+
+
+@given(_well_formed_traces(), st.sampled_from(_LOOKALIKES), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_digest_tells_equal_comparing_values_apart(trace, values, in_clock_slot):
+    digests = set()
+    for value in values:
+        if in_clock_slot:
+            record = (TR_STATEMENT, value, -1)
+        else:
+            record = (TR_LOOP_ITER, 0.5, -1, value)
+        digests.add(replace(trace, events=trace.events + [record]).digest())
+    assert len(digests) == len(values)
+    # Container types are not content: list-shaped records and table rows
+    # hash like the tuples a recorder emits.
+    as_lists = replace(trace, events=[list(record) for record in trace.events])
+    as_tuples = replace(trace, nodes=[tuple(row) for row in trace.nodes])
+    assert as_lists.digest() == as_tuples.digest() == replace(trace).digest()

@@ -14,16 +14,22 @@ properties of the serving layer:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.engine.pipeline as pipeline_module
 from repro.api import AnalysisSession, RunSpec
 from repro.api.spec import ALL_TRACERS
 from repro.engine.cache import TraceStore, workload_fingerprint
+from repro.engine.workerpool import PoolUnavailableError
+from repro.jsvm.hooks import Trace
 from repro.serve.client import ServeClient, ServeError, percentile, run_load
 from repro.serve.dedup import Job, QueueFullError, SingleFlightExecutor
 from repro.serve.protocol import (
@@ -34,6 +40,7 @@ from repro.serve.protocol import (
     parse_submit,
 )
 from repro.serve.server import ServeDaemon
+from repro.serve.store import DiskTraceStore
 from repro.workloads import get_workload
 
 #: The acceptance matrix: every non-empty subset of the bus tracers...
@@ -282,20 +289,34 @@ class TestSingleFlightExecutor:
 
 
 # ------------------------------------------------------------------ live daemon
+@contextlib.contextmanager
+def serving(**kwargs):
+    """A :class:`ServeDaemon` answering on a background thread."""
+    with ServeDaemon(port=0, **kwargs) as running:
+        thread = threading.Thread(target=running.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield running
+        finally:
+            running.shutdown()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+def client_for(running: ServeDaemon) -> ServeClient:
+    return ServeClient(f"http://{running.host}:{running.port}")
+
+
 @pytest.fixture(scope="module")
 def daemon(tmp_path_factory):
     store_dir = tmp_path_factory.mktemp("serve-store")
-    with ServeDaemon(store_dir=str(store_dir), port=0, workers=3) as running:
-        thread = threading.Thread(target=running.serve_forever, daemon=True)
-        thread.start()
+    with serving(store_dir=str(store_dir), workers=3) as running:
         yield running
-        running.shutdown()
-        thread.join(timeout=10)
 
 
 @pytest.fixture(scope="module")
 def client(daemon):
-    return ServeClient(f"http://{daemon.host}:{daemon.port}")
+    return client_for(daemon)
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +465,119 @@ class TestSingleFlightOverHTTP:
         assert daemon.store.puts == before + 2
         names = {res["result"]["workload"] for res in results if res is not None}
         assert names == {"serve-distinct-0", "serve-distinct-1"}
+
+
+def _crash_mid_record(context, heavy, stage, ref, mask, root, chunk_events):
+    """Stand-in pool record task: leave half a segment behind, then die."""
+    (Path(root) / f"half-written.{os.getpid()}.tmp").write_bytes(b"partial")
+    os._exit(13)
+
+
+class _NoForkPool:
+    def __init__(self, *args, **kwargs):
+        raise PoolUnavailableError("fork start method unavailable")
+
+
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="the pool record path requires the fork start method",
+)
+class TestPoolRecording:
+    """With a disk store, cold keys record on a pool worker; the daemon only
+    publishes the segment the worker staged."""
+
+    @pytest.fixture(autouse=True)
+    def two_wide(self, monkeypatch):
+        # Above 1 whatever the host's CPU count: the pool path applies.
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "2")
+
+    @staticmethod
+    def local_recording(store_dir, body):
+        """The same submission recorded in process (width 1) into a store."""
+        request = parse_submit(body)
+        store = DiskTraceStore(store_dir)
+        with AnalysisSession(trace_store=store, workers=1) as session:
+            result = session.run(request.resolve_workload(), request.spec())
+        assert store.puts == 1
+        return result
+
+    def test_pool_recording_matches_in_process(self, tmp_path):
+        body = {"script": script_payload("pool", "serve-pool"), "modes": ["lightweight"]}
+        local = self.local_recording(tmp_path / "local", body)
+        with serving(store_dir=str(tmp_path / "pool")) as running:
+            assert running.stats()["pool"]["workers_alive"] == 1  # forked up front
+            served = client_for(running).analyze(**body)
+            stats = running.stats()
+        assert stats["recordings"] == 1
+        assert stats["pool"]["recordings"] == 1
+        assert stats["pool"]["in_process_fallbacks"] == 0
+        assert "pool" not in served["result"]
+        assert encode_json(served["result"]) == encode_json(local.to_dict())
+        (local_segment,) = (tmp_path / "local").glob("*.trace.bin")
+        (pool_segment,) = (tmp_path / "pool").glob("*.trace.bin")
+        assert pool_segment.name == local_segment.name
+        assert pool_segment.read_bytes() == local_segment.read_bytes()
+        digest = Trace.load(str(local_segment)).digest()
+        assert served["result"]["provenance"] == f"replay:{digest[:12]}"
+        assert not list((tmp_path / "pool").glob("*.tmp"))
+
+    def test_pool_unavailable_records_in_process(self, tmp_path, monkeypatch, baseline):
+        monkeypatch.setattr(pipeline_module, "WorkerPool", _NoForkPool)
+        body = {"script": script_payload("no-fork", "serve-no-fork"), "modes": ["lightweight"]}
+        request = parse_submit(body)
+        expected = baseline.run(request.resolve_workload(), request.spec())
+        with serving(store_dir=str(tmp_path)) as running:
+            before = running.stats()["recordings"]
+            served = client_for(running).analyze(**body)
+            stats = running.stats()
+        assert stats["recordings"] == before + 1
+        assert stats["pool"] == {
+            "workers_alive": 0,
+            "recordings": 0,
+            "in_process_fallbacks": 1,
+        }
+        assert encode_json(served["result"]) == encode_json(expected.to_dict())
+
+    def test_concurrent_identical_submissions_record_once(self, tmp_path):
+        body = {"script": script_payload("pool-flight", "serve-pool-flight"), "modes": ["lightweight"]}
+        fanout = 4
+        barrier = threading.Barrier(fanout)
+        bodies: list = [None] * fanout
+        with serving(store_dir=str(tmp_path), workers=fanout) as running:
+            client = client_for(running)
+
+            def one(slot: int) -> None:
+                barrier.wait(timeout=30)
+                bodies[slot] = client.analyze_raw(**body)
+
+            threads = [threading.Thread(target=one, args=(i,)) for i in range(fanout)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            stats = running.stats()
+        assert stats["recordings"] == 1
+        assert stats["pool"]["recordings"] == 1
+        assert all(raw is not None for raw in bodies) and len(set(bodies)) == 1
+
+    def test_worker_crash_fails_the_request_without_rerunning_it(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline_module, "_record_segment_task", _crash_mid_record)
+        body = {"script": script_payload("crash", "serve-crash"), "modes": ["lightweight"]}
+        with serving(store_dir=str(tmp_path)) as running:
+            with pytest.raises(ServeError) as excinfo:
+                client_for(running).analyze(**body)
+            stats = running.stats()
+        assert excinfo.value.status == 500
+        assert "WorkerCrashError" in str(excinfo.value)
+        assert stats["recordings"] == 0  # never re-run in the daemon
+        assert stats["pool"]["in_process_fallbacks"] == 0
+        # Both attempts died mid-write; the next open of the store sweeps them.
+        assert len(list(tmp_path.glob("*.tmp"))) == 2
+        DiskTraceStore(tmp_path)
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestBatchStreaming:

@@ -368,6 +368,45 @@ class TestDiskTraceStore:
         assert not list(tmp_path.glob("*.trace.*"))
         assert json.loads((tmp_path / "index.json").read_text())["entries"] == []
 
+    def test_publish_installs_a_segment_staged_elsewhere(self, tmp_path):
+        # The stage half needs no store object: a pool worker runs it with
+        # nothing but the root path.
+        store = DiskTraceStore(tmp_path)
+        trace = make_trace(0b0110)
+        tmp, row = DiskTraceStore.stage(tmp_path, trace)
+        assert tmp.parent == tmp_path and tmp.name.endswith(".tmp")
+        served = store.publish(tmp, row)
+        assert not tmp.exists()
+        assert served.digest() == trace.digest() and served == trace
+        assert store.puts == 1 and store.segments_written == 1
+        assert store.find("fp-a", 0b0110) is served
+        assert DiskTraceStore(tmp_path).segment_count() == 1
+
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import repro.serve.store as store_module
+
+        store = DiskTraceStore(tmp_path)
+        tmp, row = DiskTraceStore.stage(tmp_path, make_trace(0b0011))
+
+        def disk_full(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "replace", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            store.publish(tmp, row)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert store.puts == 0 and store.segment_count() == 0
+
+    def test_opening_a_store_sweeps_orphaned_temp_files(self, tmp_path):
+        store = DiskTraceStore(tmp_path)
+        store.put(make_trace(0b0011))
+        orphan = tmp_path / "0123456789abcdef-fedcba9876543210.trace.bin.99-1.tmp"
+        orphan.write_bytes(b"half a segment")
+        (tmp_path / "index.json.tmp").write_text("{")
+        reopened = DiskTraceStore(tmp_path)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert reopened.segment_count() == 1
+
 
 # --------------------------------------------------------------- concurrency
 class TestStoreConcurrency:

@@ -25,6 +25,7 @@ import json
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -192,15 +193,26 @@ class TestBinaryFormat:
             "objects": len(trace.objects),
         }
 
-    def test_gzip_wrapped_binary_payload_still_opens(self, recorded, tmp_path):
+    def test_gzip_wrapped_binary_payload_still_opens(self, recorded, binary_path, tmp_path):
+        # Nothing writes gzip-wrapped segments any more; files made by
+        # earlier builds (or by hand) stay readable.
         _workload, trace = recorded
         path = tmp_path / "wrapped.trace.bin.gz"
-        write_binary_trace(trace, str(path), chunk_events=CHUNK_EVENTS)
-        with gzip.open(path, "rb") as handle:
-            assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
+        with gzip.open(path, "wb") as handle:
+            handle.write(open(binary_path, "rb").read())
         source = open_trace_source(str(path))
         assert isinstance(source, BinaryTraceSource)
         assert source.load().digest() == trace.digest()
+
+    def test_gz_name_still_gets_a_raw_mmappable_container(self, recorded, tmp_path):
+        _workload, trace = recorded
+        path = tmp_path / "named.trace.bin.gz"
+        write_binary_trace(trace, str(path), chunk_events=CHUNK_EVENTS)
+        assert path.read_bytes()[: len(BINARY_MAGIC)] == BINARY_MAGIC
+        source = open_trace_source(str(path))
+        assert source._mmap is not None
+        assert source.load().digest() == trace.digest()
+        source.close()
 
     def test_writer_defaults_to_binary(self, recorded, tmp_path):
         # The file name never selects an encoding: a JSON-looking name still
@@ -479,9 +491,11 @@ class TestCrossFormatIdentity:
         source_v2 = open_trace_source(str(v2))
         assert source_v2.digest() == open_trace_source(v1).digest()
         from_v2 = source_v2.load()
-        from_v2._digest_cache = None  # re-derive, not the adopted header value
-        assert from_v2.digest() == from_v1.digest()
+        assert from_v2.digest() == from_v1.digest()  # the v1 identity, adopted
+        assert from_v2.legacy_digest() == from_v1.digest()
         assert from_v2 == from_v1
+        # Re-derived (not adopted) current digests agree across the formats.
+        assert replace(from_v2).digest() == replace(from_v1).digest()
 
         session = AnalysisSession()
         batch = session.replay_trace(from_v1, COMPOSED)

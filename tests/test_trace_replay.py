@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -42,8 +43,12 @@ from repro.workloads import get_workload, workload_names
 
 COMPOSED = RunSpec.composed(LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE)
 
-#: ``Trace.digest()`` of the committed single-document v1 fixture.
+#: ``Trace.legacy_digest()`` of the committed single-document v1 fixture
+#: (the identity v1 files were written with).
 V1_LOOPS_DIGEST = "e6676abab056388d12dbd0cb16aff19a0589fccd772fc9c21a8f183905c95a1d"
+#: ``Trace.digest()`` of the same fixture: a single-document file carries no
+#: header digest, so loading derives the current identity.
+V1_LOOPS_DIGEST_V2 = "0581b64c82f4af6fc5e7255b3e27b2fcdadaf37dab8fa96c202e2460743be8d1"
 
 
 def payload_digest(payload) -> str:
@@ -113,7 +118,8 @@ class TestSchemaRoundTrip:
             for key, value in data.items()
         }
         assert json.dumps(rebuilt, separators=(",", ":")) + "\n" == text
-        assert parsed.digest() == V1_LOOPS_DIGEST
+        assert parsed.digest() == V1_LOOPS_DIGEST_V2
+        assert parsed.legacy_digest() == V1_LOOPS_DIGEST
 
     def test_file_round_trip_plain_and_gzip(self, v1_loops_fixture, tmp_path):
         wrapped = tmp_path / "loops.trace.json.gz"
@@ -121,8 +127,22 @@ class TestSchemaRoundTrip:
             handle.write(v1_loops_fixture.read_bytes())
         for path in (v1_loops_fixture, wrapped):
             loaded = Trace.load(str(path))
-            assert loaded.digest() == V1_LOOPS_DIGEST
+            assert loaded.digest() == V1_LOOPS_DIGEST_V2
+            assert loaded.legacy_digest() == V1_LOOPS_DIGEST
             assert loaded.mask == EV_LOOP and len(loaded.events) == 264
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_digest_survives_encode_decode_and_re_derivation(
+        self, recorded_session, name, tmp_path
+    ):
+        session, _ = recorded_session
+        fingerprint = workload_fingerprint(get_workload(name))
+        trace = session.trace_store.find(fingerprint, pipeline_trace_mask())
+        path = tmp_path / "app.trace.bin"
+        write_binary_trace(trace, str(path))
+        loaded = Trace.load(str(path))
+        assert loaded.digest() == trace.digest()  # adopted from the header
+        assert replace(loaded).digest() == trace.digest()  # re-derived
 
     def test_replay_from_round_tripped_trace_matches(
         self, recorded_session, trace, tmp_path

@@ -27,6 +27,7 @@ from repro.engine.workerpool import (
     WorkerPool,
     run_inherited,
 )
+from repro.serve.store import DiskTraceStore
 from repro.workloads import get_workload
 from repro.workloads.base import REGISTRY, Workload
 
@@ -313,6 +314,38 @@ class TestPipelineOnPool:
         pipeline.close()
         assert _wait_dead(pids), f"pipeline.close() leaked pool workers: {pids}"
         pipeline.close()  # idempotent
+
+    def test_disk_store_records_on_a_worker_that_keeps_nothing(
+        self, tiny_workloads, tmp_path, monkeypatch
+    ):
+        store = DiskTraceStore(tmp_path)
+        pipeline = AnalysisPipeline(workers=2, trace_store=store)
+        with AnalysisSession(pipeline=pipeline) as session:
+            pipeline.start_pool()
+            _forbid_recording(monkeypatch)  # the worker forked before this
+            workload = tiny_workloads[0]
+            trace = session.record_trace(workload)
+            assert store.puts == 1 and store.segment_count() == 1
+            assert pipeline.pool_stats() == {
+                "workers_alive": 1,
+                "recordings": 1,
+                "in_process_fallbacks": 0,
+            }
+            assert all(not keys for keys in pipeline._pool.holdings().values())
+            # Stored now: a second call neither records nor reaches the pool.
+            assert session.record_trace(workload) is trace
+            assert pipeline.pool_stats()["recordings"] == 1
+
+    def test_unpicklable_workload_records_in_process(self, tmp_path):
+        workload = _make_tiny_workload("engine-test-local")
+        workload.exercise_fn = lambda browser: None  # does not pickle
+        store = DiskTraceStore(tmp_path)
+        pipeline = AnalysisPipeline(workers=2, trace_store=store)
+        with AnalysisSession(pipeline=pipeline) as session:
+            session.record_trace(workload)
+        assert store.puts == 1
+        assert pipeline.pool_stats()["recordings"] == 0
+        assert pipeline.pool_stats()["in_process_fallbacks"] == 1
 
     def test_fetch_trace_roundtrip(self, tiny_workloads, monkeypatch):
         pipeline = AnalysisPipeline(workers=2)
