@@ -356,17 +356,17 @@ class WorkerPool:
         """
         return [h.process.pid for h in list(self._handles) if h.process.is_alive()]
 
-    def start(self, workers: int = 1) -> None:
-        """Fork up to ``workers`` workers now rather than on the first batch.
+    def start(self) -> None:
+        """Fork the first worker now rather than on the first batch.
 
         ``fork`` copies only the calling thread, and a lock another thread
         holds at that moment stays held in the child forever; a threaded
-        server therefore starts its workers before its first thread.
+        server therefore starts its worker before its first thread.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            self._ensure_workers(workers)
+            self._ensure_workers(1)
 
     def holdings(self) -> Dict[int, frozenset]:
         """Cache keys (trace fingerprints) each live worker holds, by PID."""
