@@ -249,7 +249,7 @@ class AnalysisSession:
         else:
             trace = self.trace_store.find(fingerprint, spec.combined_mask())
             if trace is None:
-                trace = self.record_trace(workload)
+                trace = self._record(workload, None)
 
         replayer = TraceReplayer(trace)
         composed = self._compose_tracers(spec, proxy.registry, focus_loop_id)
@@ -388,29 +388,42 @@ class AnalysisSession:
         )
 
     # ----------------------------------------------------------------- traces
-    def record_trace(self, workload: Any, mask: Optional[int] = None) -> Trace:
+    def record_trace(self, workload: Any, mask: Optional[int] = None):
         """Execute ``workload`` once and store a trace covering ``mask``.
 
         ``mask`` defaults to the pipeline's union event mask, so the stored
         trace replays every shipped tracer (and every per-nest dependence
         focus).  The trace lands in the session's
-        :class:`~repro.engine.cache.TraceStore` and is returned.  A trace
-        already stored, or recorded by a pool worker during a case-study
-        batch (see :meth:`AnalysisPipeline.fetch_trace`), is not recorded
-        again.  With a disk-backed store the recording runs on a pool worker
-        when one is available (:meth:`AnalysisPipeline.record_on_pool`), and
-        in process otherwise.
+        :class:`~repro.engine.cache.TraceStore` and is returned (as the
+        store serves it: a disk-backed store hands back the segment's
+        source).  A trace already stored is not recorded again.
         """
         if self.closed:
             raise RuntimeError("AnalysisSession is closed")
         workload = self.resolve_workload(workload)
+        stored = self.trace_store.find(
+            workload_fingerprint(workload),
+            mask if mask is not None else pipeline_trace_mask(),
+        )
+        return stored if stored is not None else self._record(workload, mask)
+
+    def _record(self, workload: Any, mask: Optional[int]):
+        """Record ``workload`` after a store miss, without looking again.
+
+        A trace a pool worker recorded during a case-study batch is fetched
+        (:meth:`AnalysisPipeline.fetch_trace`).  Otherwise, with a
+        disk-backed store the recording runs on a pool worker when one is
+        available (:meth:`AnalysisPipeline.record_on_pool`), and in process
+        when not.
+        """
         trace = self.pipeline.fetch_trace(workload, mask)
         if trace is None:
             trace = self.pipeline.record_on_pool(workload, mask)
         if trace is not None:
             return trace
-        runner = self.pipeline.make_runner()
-        return runner.obtain_trace(workload, mask)
+        trace = self.pipeline.make_runner().record_trace(workload, mask)
+        self.trace_store.put(trace)
+        return trace
 
     def replay_trace(self, trace: Any, spec: Optional[RunSpec] = None) -> RunResult:
         """Replay an explicit trace (e.g. loaded from disk) as a full run.

@@ -174,30 +174,36 @@ class TraceStore:
     staged pipeline's ~4N instrumented executions into "record once per
     (fingerprint, mask superset), replay per stage".
 
+    An entry is anything :class:`~repro.jsvm.hooks.TraceReplayer` replays:
+    a resident :class:`Trace` (what :meth:`put` keeps, so a batch sweep
+    replays the trace it just recorded without encoding it) or a source at
+    rest, such as an mmap'd
+    :class:`~repro.jsvm.tracecodec.BinaryTraceSource` (what :meth:`install`
+    takes).  A source is never decoded here: :meth:`find` hands it out as is
+    and each replay decodes only the opcode groups its tracers subscribe to.
+
     The base class keeps everything in memory.  Backends with a second tier
     (e.g. :class:`repro.serve.store.DiskTraceStore`) override
     :meth:`_find_fallback` to resolve memory misses from elsewhere — the
-    resolved trace is memorized and counted as a hit — and :meth:`put` to
+    resolved entry is memorized and counted as a hit — and :meth:`put` to
     persist new recordings.  ``puts`` counts recordings entering the store
     through :meth:`put` (memorized fallback loads are excluded), which is the
     serving daemon's "exactly one guest execution" evidence.
     """
 
     def __init__(self) -> None:
-        self._traces: Dict[str, List[Trace]] = {}
-        #: fingerprint → replayable source handles (see :meth:`put_source`).
-        self._sources: Dict[str, list] = {}
+        self._traces: Dict[str, list] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.puts = 0
 
-    def find(self, fingerprint: str, required_mask: int) -> Optional[Trace]:
-        """A resident trace covering ``required_mask``, or ``None``.
+    def find(self, fingerprint: str, required_mask: int):
+        """A stored trace or source covering ``required_mask``, or ``None``.
 
-        Among covering traces the one with the fewest extra event classes is
-        preferred (replay cost scales with record count).  An installed
-        source or a second-tier segment is decoded once and memorized.
+        Among covering entries the one with the fewest extra event classes
+        is preferred (replay cost scales with record count).  A second-tier
+        hit is memorized.
         """
         with self._lock:
             candidates = [
@@ -208,15 +214,9 @@ class TraceStore:
             if candidates:
                 self.hits += 1
                 return min(candidates, key=lambda trace: bin(trace.mask).count("1"))
-        loaded = self._load_from_source(fingerprint, required_mask)
-        if loaded is not None:
-            self._remember(loaded)
-            with self._lock:
-                self.hits += 1
-            return loaded
         fallback = self._find_fallback(fingerprint, required_mask)
         if fallback is not None:
-            self._remember(fallback)
+            self.install(fallback)
             with self._lock:
                 self.hits += 1
             return fallback
@@ -224,70 +224,32 @@ class TraceStore:
             self.misses += 1
         return None
 
-    def put_source(self, source) -> None:
-        """Install a replayable source handle (no materialization, no count).
-
-        ``source`` must expose the replay-source contract
-        (``fingerprint`` / ``mask`` / ``covers`` / ``chunks`` / ``load``), as
-        :class:`~repro.jsvm.hooks.TraceFileSource` and
-        :class:`~repro.jsvm.tracecodec.BinaryTraceSource` do.  A newcomer
-        evicts installed sources it covers, mirroring :meth:`_remember`.
-        """
-        with self._lock:
-            kept = [
-                existing
-                for existing in self._sources.get(source.fingerprint, [])
-                if not source.covers(existing.mask)
-            ]
-            kept.append(source)
-            self._sources[source.fingerprint] = kept
-
-    def _load_from_source(self, fingerprint: str, required_mask: int):
-        """Materialize a covering installed source; corruption drops it."""
-        with self._lock:
-            candidates = [
-                source
-                for source in self._sources.get(fingerprint, ())
-                if source.covers(required_mask)
-            ]
-        candidates.sort(key=lambda source: bin(source.mask).count("1"))
-        for source in candidates:
-            try:
-                return source.load()
-            except Exception:  # noqa: BLE001 - a bad handle is a miss, not a crash
-                with self._lock:
-                    rows = self._sources.get(fingerprint, [])
-                    if source in rows:
-                        rows.remove(source)
-        return None
-
     def has(self, fingerprint: str, required_mask: int) -> bool:
         """Whether a covering trace exists, without loading or counting it."""
         with self._lock:
-            if any(
+            return any(
                 trace.covers(required_mask)
                 for trace in self._traces.get(fingerprint, ())
-            ):
-                return True
-            return any(
-                source.covers(required_mask)
-                for source in self._sources.get(fingerprint, ())
             )
 
-    def put(self, trace: Trace) -> Trace:
+    def put(self, trace):
         """Store ``trace``, dropping stored traces it strictly covers."""
-        self._remember(trace)
+        self.install(trace)
         with self._lock:
             self.puts += 1
         return trace
 
-    def _remember(self, trace: Trace) -> Trace:
-        """Install ``trace`` in the in-memory tier (no persistence, no count).
+    def install(self, trace):
+        """Install a trace or source in the memory tier (no persistence, no
+        count).
 
+        ``trace`` needs ``fingerprint``, ``mask``, ``covers`` and
+        ``chunks``, as :class:`Trace` and the trace sources have.
         Installing a newcomer evicts every sibling it covers; a *narrower*
         newcomer still installs alongside a broader sibling on purpose —
         replay cost scales with event count, so :meth:`find` prefers it for
         subset requests.  The whole install is atomic under the store lock.
+        An evicted source is not closed: a replay may still be reading it.
         """
         with self._lock:
             kept = [
@@ -299,7 +261,7 @@ class TraceStore:
             self._traces[trace.fingerprint] = kept
         return trace
 
-    def _find_fallback(self, fingerprint: str, required_mask: int) -> Optional[Trace]:
+    def _find_fallback(self, fingerprint: str, required_mask: int):
         """Second-tier lookup hook for memory misses (None in the base store)."""
         return None
 
@@ -309,22 +271,16 @@ class TraceStore:
 
     def fingerprints(self) -> List[str]:
         with self._lock:
-            known = {key for key, traces in self._traces.items() if traces}
-            known.update(key for key, sources in self._sources.items() if sources)
-            return sorted(known)
+            return sorted(key for key, traces in self._traces.items() if traces)
 
     def clear(self) -> None:
         with self._lock:
-            self._traces.clear()
-            for sources in self._sources.values():
-                for source in sources:
-                    close = getattr(source, "close", None)
+            for traces in self._traces.values():
+                for trace in traces:
+                    close = getattr(trace, "close", None)
                     if close is not None:
-                        try:
-                            close()
-                        except OSError:  # pragma: no cover - defensive
-                            pass
-            self._sources.clear()
+                        close()
+            self._traces.clear()
 
     def flush(self) -> None:
         """Persist any buffered state (no-op for the in-memory store)."""

@@ -375,10 +375,11 @@ class AnalysisPipeline:
             self.trace_store.put(trace)
         return trace
 
-    def record_on_pool(self, workload, mask: Optional[int] = None) -> Optional[Trace]:
-        """A trace covering ``mask``: stored, or recorded now on a pool worker.
+    def record_on_pool(self, workload, mask: Optional[int] = None):
+        """Record a trace covering ``mask`` on a pool worker and serve it.
 
-        Applies when the store stages its own segments (a
+        The caller has already missed in the store (this does not look
+        again, so a cold key counts one miss).  Applies when the store stages its own segments (a
         :class:`~repro.serve.store.DiskTraceStore`) and the resolved width
         is above 1; otherwise this returns ``None`` at once.  The worker
         records, digests and encodes the trace into a temp segment file in
@@ -396,9 +397,6 @@ class AnalysisPipeline:
         if not self._records_on_pool():
             return None
         mask = mask if mask is not None else pipeline_trace_mask()
-        trace = self.trace_store.find(workload_fingerprint(workload), mask)
-        if trace is not None:
-            return trace
         ref = workload.name if self._registry_reconstructible([workload]) else workload
         store = self.trace_store
         try:
@@ -459,6 +457,8 @@ class AnalysisPipeline:
                 trace_ref = segment_ref(fingerprint, mask)
             if trace_ref is None:
                 trace = self.trace_store.find(fingerprint, mask)
+                if trace is not None and not isinstance(trace, Trace):
+                    trace = trace.load()  # a source's mmap cannot be pickled
             bytecode = prepare_workload_bytecode(
                 self.script_cache, self.bytecode_cache, workload
             )

@@ -139,9 +139,10 @@ class PoolWorkerContext:
         the same file itself (binary segments mmap, so the page cache is
         shared across the whole pool) instead of receiving the trace over
         the pipe.  The header digest must match the reference and the
-        segment must pass one bounded verification scan before it is
-        installed; any failure degrades to "not installed" — the task then
-        re-records, it never replays a wrong trace.
+        segment must pass its one-time check (the footer hash; no column is
+        decoded) before the source is installed at rest; any failure
+        degrades to "not installed" — the task then re-records, it never
+        replays a wrong trace.
         """
         from ..jsvm.hooks import Trace, TraceError, open_trace_source
 
@@ -160,11 +161,11 @@ class PoolWorkerContext:
                 raise TraceError(
                     f"segment {ref['path']!r} digest does not match its reference"
                 )
-            source.verify()
+            source.check().retain_columns()
         except (TraceError, OSError, EOFError) as exc:
             logger.warning("pool worker could not attach segment ref: %s", exc)
             return False
-        self.trace_store.put_source(source)
+        self.trace_store.install(source)
         return True
 
     def runner(self, runner_kwargs: Dict[str, Any]) -> CaseStudyRunner:
@@ -189,8 +190,18 @@ def resolve_workload(name: str):
 
 
 def fetch_trace_task(context: PoolWorkerContext, heavy, fingerprint: str, mask: int):
-    """Pool task: hand over a trace this worker holds (``None`` if it has none)."""
-    return context.trace_store.find(fingerprint, mask)
+    """Pool task: hand over a trace this worker holds (``None`` if it has none).
+
+    Always a :class:`~repro.jsvm.hooks.Trace`: a source attached from a
+    segment reference holds an mmap, which cannot cross the pipe, so it is
+    loaded here.
+    """
+    from ..jsvm.hooks import Trace
+
+    trace = context.trace_store.find(fingerprint, mask)
+    if trace is None or isinstance(trace, Trace):
+        return trace
+    return trace.load()
 
 
 def _portable_error(exc: BaseException) -> BaseException:

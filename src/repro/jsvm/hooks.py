@@ -73,6 +73,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from .values import JSArray, JSObject
+
 logger = logging.getLogger(__name__)
 
 # -- event mask bits ----------------------------------------------------------
@@ -1252,11 +1254,6 @@ class TraceRecorder(Tracer):
         key = id(obj)
         index = self._object_index.get(key)
         if index is None:
-            # Imported lazily: values.py is independent of this module, but
-            # keeping the top-level import surface minimal avoids ordering
-            # surprises for embedders that import hooks first.
-            from .values import JSArray, JSObject
-
             name_index = -1
             if isinstance(obj, JSArray):
                 kind = _OBJ_ARRAY
@@ -1440,15 +1437,6 @@ class ReplayClock:
         return self._now_ms
 
 
-class _ReplayFrame:
-    """Shadow call-stack entry (mirror of the interpreter's ``CallFrame``)."""
-
-    __slots__ = ("function_name",)
-
-    def __init__(self, function_name: str) -> None:
-        self.function_name = function_name
-
-
 class _ReplayNode:
     """Stand-in AST node carrying exactly what tracers read."""
 
@@ -1474,27 +1462,19 @@ def _replay_node_class(kind: str) -> type:
 
 
 class _ReplayInterpreter:
-    """The minimal interpreter surface replayed tracers touch.
+    """The interpreter surface replayed tracers touch: ``interp.clock``.
 
-    Shipped tracers read ``interp.clock``, ``interp.call_stack`` and
-    ``interp.current_function_name()``; the replayer maintains the call stack
-    from the trace's function events, so those reads return exactly what the
-    live interpreter would have returned at the same stamp.
+    Shipped tracers read only the clock during replay (the live call stack
+    is read by host shims and the speculation engine, never by a tracer),
+    so no call stack is rebuilt from the trace's function events.
     """
 
-    __slots__ = ("clock", "call_stack", "hooks", "trace_mask")
+    __slots__ = ("clock", "hooks", "trace_mask")
 
     def __init__(self, clock: ReplayClock) -> None:
         self.clock = clock
-        self.call_stack: List[_ReplayFrame] = [_ReplayFrame("(global)")]
         self.hooks = None
         self.trace_mask = 0
-
-    def current_function_name(self) -> str:
-        return self.call_stack[-1].function_name if self.call_stack else "(global)"
-
-    def stack_snapshot(self) -> List[str]:
-        return [frame.function_name for frame in self.call_stack]
 
 
 class TraceReplayer:
@@ -1503,6 +1483,10 @@ class TraceReplayer:
     Every replay is one loop over the source's ``chunks()``: a resident
     :class:`Trace` yields its tables and whole event list as a single chunk,
     a chunked file source yields bounded slices with intern-table deltas.
+    A binary source's columnar chunks hand over only the records of the
+    subscribed opcodes (:meth:`~repro.jsvm.tracecodec.ColumnarChunk.records`),
+    decoding no other group, so a cheap-mode replay from a source at rest
+    costs O(subscribed events), not O(all events).
 
     One replayer materializes one consistent set of stand-in nodes and guest
     objects; every :meth:`replay` call over the same replayer shares them,
@@ -1529,31 +1513,45 @@ class TraceReplayer:
         # already materialized).
         self._strings: List[str] = []
         self._nodes: List[Any] = []
+        #: Raw object-table entries, and their stand-ins: ``None`` until
+        #: built, which is on first use unless a replay indexes the table
+        #: directly (object and property events), when all are built.
+        self._object_entries: List[List[int]] = []
         self._objects: List[Any] = []
+        #: Leading ``_objects`` slots known to be built.
+        self._objects_built = 0
 
     # ------------------------------------------------------------ stand-ins
-    def _materialize_object(self, entry: List[int], strings: List[str]) -> Any:
-        from .values import JSArray, JSObject
-
-        kind, class_index, creation_site, name_index = entry
-        class_name = strings[class_index]
-        if kind == _OBJ_ARRAY:
-            return JSArray([], creation_site=creation_site)
-        if kind == _OBJ_CALLABLE:
-            stand_in = _ReplayFunctionObject(class_name=class_name, creation_site=creation_site)
-            stand_in.name = strings[name_index] if name_index >= 0 else ""
+    def _object_at(self, index: int) -> Any:
+        """The stand-in for object ``index``, built on first use."""
+        stand_in = self._objects[index]
+        if stand_in is not None:
             return stand_in
-        if kind == _OBJ_PLAIN:
-            return JSObject(class_name=class_name, creation_site=creation_site)
-        return _ReplayOpaque()
+        try:
+            kind, class_index, creation_site, name_index = self._object_entries[index]
+            class_name = self._strings[class_index]
+            if kind == _OBJ_ARRAY:
+                stand_in = JSArray([], creation_site=creation_site)
+            elif kind == _OBJ_CALLABLE:
+                stand_in = _ReplayFunction(class_name=class_name, creation_site=creation_site)
+                stand_in.name = self._strings[name_index] if name_index >= 0 else ""
+            elif kind == _OBJ_PLAIN:
+                stand_in = JSObject(class_name=class_name, creation_site=creation_site)
+            else:
+                stand_in = _ReplayOpaque()
+        except (IndexError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"malformed trace object table: {exc}") from exc
+        self._objects[index] = stand_in
+        return stand_in
 
-    def _absorb_chunk(self, chunk: "TraceChunk", seen: List[int]) -> None:
+    def _absorb_chunk(self, chunk: "TraceChunk", seen: List[int], objects: bool) -> None:
         """Extend the stand-in tables with a chunk's intern deltas.
 
         ``seen`` holds the cumulative (strings, nodes, objects) counts
         streamed so far *in this pass*.  Entries already materialized by an
         earlier :meth:`replay` pass are skipped, so repeated passes over one
-        replayer share stand-ins.
+        replayer share stand-ins.  With ``objects`` every object stand-in is
+        built now; otherwise each is built on first use.
         Environments have no table to extend — events carry their index, and
         that index *is* the identity handed to tracers.
         """
@@ -1572,15 +1570,19 @@ class TraceReplayer:
                     ]
                 )
             seen[1] = start + len(chunk.nodes)
-            start = seen[2]
-            if start + len(chunk.objects) > len(self._objects):
-                self._objects.extend(
-                    self._materialize_object(entry, strings)
-                    for entry in chunk.objects[len(self._objects) - start :]
-                )
-            seen[2] = start + len(chunk.objects)
         except (IndexError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace intern table: {exc}") from exc
+        entries = self._object_entries
+        start = seen[2]
+        if start + len(chunk.objects) > len(entries):
+            fresh = chunk.objects[len(entries) - start :]
+            entries.extend(fresh)
+            self._objects.extend([None] * len(fresh))
+        seen[2] = start + len(chunk.objects)
+        if objects:
+            for index in range(self._objects_built, len(entries)):
+                self._object_at(index)
+            self._objects_built = len(entries)
 
     # --------------------------------------------------------------- replay
     def required_mask(self, tracers: List[Tracer]) -> int:
@@ -1597,10 +1599,9 @@ class TraceReplayer:
         recording would silently produce wrong payloads otherwise.
 
         Dispatch is specialized per opcode: a handler table maps each opcode
-        to a closure pre-bound over the subscribed tracer methods, and
-        opcodes nobody subscribes to cost one list-index + ``None`` check per
-        record (a dependence replay skips hundreds of thousands of statement
-        samples this way).
+        to a closure pre-bound over the subscribed tracer methods.  Opcodes
+        nobody subscribes to are never decoded from a columnar chunk, and
+        cost one list-index + ``None`` check per record of a resident one.
         """
         required = self.required_mask(tracers)
         if not self.trace.covers(required):
@@ -1628,10 +1629,10 @@ class TraceReplayer:
         clock = self.clock
         nodes = self._nodes
         objects = self._objects
+        object_at = self._object_at
         # The tables are list objects extended in place as chunks arrive;
         # handlers index them through these same bindings.
         strings = self._strings
-        call_stack = interp.call_stack
         elided = TRACE_VALUE_ELIDED
 
         def methods(bit: int, name: str) -> list:
@@ -1817,29 +1818,26 @@ class TraceReplayer:
             handlers[TR_LOOP_EXIT] = h_loop_exit
 
         on_function_enter = methods(EV_FUNCTION, "on_function_enter")
-        on_function_exit = methods(EV_FUNCTION, "on_function_exit")
-        # The shadow call stack feeds statement-sample consumers (stack depth,
-        # current function), so it must be maintained whenever either a
-        # function or a statement subscriber is present.
-        if on_function_enter or on_function_exit or on_statement:
+        if on_function_enter:
 
             def h_func_enter(rec):
                 clock._now_ms = rec[1]
-                func = objects[rec[2]]
+                func = objects[rec[2]] or object_at(rec[2])
                 node = node_of(rec[3])
-                call_stack.append(_ReplayFrame(getattr(func, "name", "(anonymous)")))
                 for method in on_function_enter:
                     method(interp, func, node)
 
+            handlers[TR_FUNC_ENTER] = h_func_enter
+
+        on_function_exit = methods(EV_FUNCTION, "on_function_exit")
+        if on_function_exit:
+
             def h_func_exit(rec):
                 clock._now_ms = rec[1]
-                func = objects[rec[2]]
+                func = objects[rec[2]] or object_at(rec[2])
                 for method in on_function_exit:
                     method(interp, func)
-                if len(call_stack) > 1:
-                    call_stack.pop()
 
-            handlers[TR_FUNC_ENTER] = h_func_enter
             handlers[TR_FUNC_EXIT] = h_func_exit
 
         on_branch = methods(EV_BRANCH, "on_branch")
@@ -1904,25 +1902,25 @@ class TraceReplayer:
 
             handlers[TR_RECURSION] = h_recursion
 
+        # Object stand-ins are built up front only for the handlers that
+        # index the object table directly; function events build theirs on
+        # first use.
+        eager_objects = any(
+            handlers[opcode] is not None
+            for opcode in (TR_PROP_READ, TR_PROP_WRITE, TR_OBJ_CREATED)
+        )
         seen = [0, 0, 0]
         wanted = frozenset(
             opcode for opcode, handler in enumerate(handlers) if handler is not None
         )
         for chunk in self.trace.chunks():
-            self._absorb_chunk(chunk, seen)
-            sparse = getattr(chunk, "events_sparse", None)
-            if sparse is not None:
-                # Columnar chunks materialize tuples only for subscribed
-                # opcode groups; unsubscribed floods (statement samples under
-                # a dependence replay) stay as undecoded columns.  The holes
-                # are None — and a fully-materialized chunk may be returned
-                # whole, so both checks stay.
-                for record in sparse(wanted):
-                    if record is None:
-                        continue
-                    handler = handlers[record[0]]
-                    if handler is not None:
-                        handler(record)
+            self._absorb_chunk(chunk, seen, eager_objects)
+            records = getattr(chunk, "records", None)
+            if records is not None:
+                # Columnar chunks yield only the subscribed opcode groups'
+                # records, so every one has a handler.
+                for record in records(wanted):
+                    handlers[record[0]](record)
             else:
                 for record in chunk.events:
                     handler = handlers[record[0]]
@@ -1951,24 +1949,9 @@ class _ReplayOpaque:
     __slots__ = ()
 
 
-def _make_replay_function_class():
-    """``_ReplayFunctionObject`` is a JSObject subclass with a ``name`` slot,
-    so it satisfies both ``isinstance(obj, JSObject)`` checks (dependence
-    analysis) and ``func.name`` reads (nest observer, samplers).  Built
-    lazily to keep module import order free of the values dependency."""
-    from .values import JSObject
+class _ReplayFunction(JSObject):
+    """Stand-in for a recorded guest function: a JSObject (dependence
+    analysis checks ``isinstance(obj, JSObject)``) with the ``name`` the
+    nest observer and samplers read."""
 
-    class _ReplayFunction(JSObject):
-        __slots__ = ("name",)
-
-    return _ReplayFunction
-
-
-_REPLAY_FUNCTION_CLASS: Optional[type] = None
-
-
-def _ReplayFunctionObject(class_name: str, creation_site: int):
-    global _REPLAY_FUNCTION_CLASS
-    if _REPLAY_FUNCTION_CLASS is None:
-        _REPLAY_FUNCTION_CLASS = _make_replay_function_class()
-    return _REPLAY_FUNCTION_CLASS(class_name=class_name, creation_site=creation_site)
+    __slots__ = ("name",)

@@ -53,7 +53,9 @@ chunk decodes, and ``load()`` then adopts the header digest instead of
 re-deriving :meth:`Trace.digest` over every event.  Container-2 files have
 no ``content_hash`` and keep the full (legacy) digest pass on ``load()``.
 The hash protects the bytes, not the decoder: every structural and
-intern-index check still runs on each chunk.
+intern-index check still runs, but on a sealed file each opcode group's
+checks run once per source, on the group's first decode (a replay decodes
+only the groups its tracers subscribe to; see :class:`ColumnarChunk`).
 
 The chunk invariant matches the NDJSON stream: a chunk's events reference
 only intern entries carried by this or an earlier chunk, so replay stays
@@ -74,7 +76,7 @@ import sys
 import zlib
 from array import array
 from collections import deque
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Any, Dict, Iterator, List, Optional
 
 #: First 8 bytes of every v2 binary trace file.  The lead byte is outside
@@ -108,6 +110,8 @@ _K_JSON = 8  #: UTF-8 JSON array (type-preserving fallback)
 _K_CLKSHUF = 9  #: float64 raw bits, byte-shuffled into 8 planes (see below)
 
 _FIX_CODES = {_K_FIX8: "b", _K_FIX16: "h", _K_FIX32: "i", _K_FIX64: "q"}
+#: Kinds whose decoded values are all strict ``int`` by construction.
+_INT_KINDS = frozenset((_K_VZ1, _K_VZN, *_FIX_CODES))
 _FIX_BOUNDS = (
     (_K_FIX8, -(1 << 7), (1 << 7) - 1),
     (_K_FIX16, -(1 << 15), (1 << 15) - 1),
@@ -556,69 +560,200 @@ def _encode_chunk(
     return b"".join(parts)
 
 
+#: Byte-map filler for an event slot no merged group claims (opcodes are
+#: small, so it never collides with a real one).
+_NO_OPCODE = 0xFF
+
+
 class ColumnarChunk:
-    """A decoded binary chunk: column-resident, tuples materialized lazily.
+    """A binary chunk: tables decoded, opcode groups left as encoded bytes.
 
     Satisfies the :class:`~repro.jsvm.hooks.TraceChunk` surface (``strings``,
     ``nodes``, ``objects``, ``env_delta``, ``events``) and additionally
-    offers :meth:`events_sparse` — the replayer's columnar fast path, which
-    skips tuple-building for whole opcode groups nobody subscribed to.
+    offers :meth:`records`, the replayer's columnar fast path.  The intern
+    tables decode with the chunk, but each opcode group stays a span of the
+    chunk body until something asks for it: :meth:`records` inflates only
+    the wanted groups, so a replay that subscribes to loop events never
+    touches the statement or property columns.
+
+    ``validated`` is the owning source's set of groups whose position and
+    index-range checks passed: each check runs on the group's first decode
+    per source.  ``cache``, when given, is the source's store of decoded
+    groups: compact columns (``array`` buffers: 8 bytes per clock, 4 or 8
+    per operand) and the merged record order of each group set a replay
+    asked for (1 byte per record), which later replays read without
+    decoding again.  Without it a chunk's decodes live and die with the
+    chunk.  :attr:`events` always decodes and checks every group afresh.
     """
 
-    __slots__ = ("index", "strings", "nodes", "objects", "env_delta", "_n", "_groups", "_events")
+    __slots__ = (
+        "index",
+        "strings",
+        "nodes",
+        "objects",
+        "env_delta",
+        "_n",
+        "_body",
+        "_groups",
+        "_counts",
+        "_validated",
+        "_cache",
+        "_retain",
+    )
 
-    def __init__(self, index, strings, nodes, objects, env_delta, n_events, groups):
+    def __init__(
+        self, index, strings, nodes, objects, env_delta, n_events, body, groups,
+        counts, validated, cache,
+    ):
         self.index = index
         self.strings = strings
         self.nodes = nodes
         self.objects = objects
         self.env_delta = env_delta
         self._n = n_events
-        #: ``[(opcode, positions, (clocks, slot2, slot3, ...)), ...]``
+        self._body = body
+        #: ``[(opcode, count, start), ...]``; ``start`` is the offset of the
+        #: group's positions block in ``_body``.
         self._groups = groups
-        self._events: Optional[list] = None
+        #: Cumulative (strings, nodes, objects, envs) the groups index into.
+        self._counts = counts
+        #: Keys (as in ``_cache``) whose checks passed, shared per source.
+        self._validated = validated
+        self._retain = cache is not None
+        #: ``("order", chunk, groups)`` -> merged opcode order (bytes);
+        #: ``("columns", chunk, group)`` -> clock and operand columns.
+        self._cache = cache if self._retain else {}
 
     @property
     def events(self):
-        if self._events is None:
-            events = self._scatter(None)
-            if events.count(None):
-                raise _trace_error(
-                    "trace chunk opcode groups do not cover every event slot"
-                )
-            self._events = events
-        return self._events
+        """Every event as a tuple; decodes and checks every group afresh."""
+        events: List[Any] = [None] * self._n
+        for ordinal, (opcode, count, start) in enumerate(self._groups):
+            positions, end = _decode_positions(self._body, start, count, self._n, True)
+            columns = self._decode_columns(ordinal, end, check=True, compact=False)
+            for position, record in zip(positions, zip((opcode,) * count, *columns)):
+                events[position] = record
+        if events.count(None):
+            raise _trace_error(
+                "trace chunk opcode groups do not cover every event slot"
+            )
+        return events
 
-    def events_sparse(self, wanted_opcodes):
-        """Event list with ``None`` holes where no wanted opcode lives.
+    def records(self, wanted_opcodes) -> Iterator[tuple]:
+        """The records of ``wanted_opcodes``, as tuples, in event order.
 
-        Returns the fully materialized list when one already exists (the
-        holes check then already ran); otherwise only the wanted groups are
-        zipped into tuples — unsubscribed statement floods cost nothing.
+        Only the wanted groups' positions and columns are read.  Their
+        merged order (:meth:`_order`) says which group each next record
+        comes from, so neither the skipped events nor a full-size event
+        list are ever built.
         """
-        if self._events is not None:
-            return self._events
-        return self._scatter(wanted_opcodes)
+        streams: List[Any] = [None] * 256
+        ordinals = []
+        for ordinal, (opcode, _count, _start) in enumerate(self._groups):
+            if opcode in wanted_opcodes:
+                streams[opcode] = zip(repeat(opcode), *self._columns(ordinal))
+                ordinals.append(ordinal)
+        return map(next, map(streams.__getitem__, self._order(tuple(ordinals))))
+
+    def decode_all(self) -> "ColumnarChunk":
+        """Decode and check every group now, keeping the columns."""
+        ordinals = tuple(range(len(self._groups)))
+        self._order(ordinals)
+        for ordinal in ordinals:
+            self._columns(ordinal)
+        return self
 
     def group_counts(self) -> Dict[int, int]:
-        return {opcode: len(positions) for opcode, positions, _cols in self._groups}
+        return {opcode: count for opcode, count, _start in self._groups}
 
-    def _scatter(self, wanted):
-        events: List[Any] = [None] * self._n
-        for opcode, positions, columns in self._groups:
-            if wanted is not None and opcode not in wanted:
-                continue
-            count = len(positions)
-            try:
-                for position, record in zip(
-                    positions, zip((opcode,) * count, *columns)
-                ):
-                    events[position] = record
-            except IndexError as exc:
+    def _order(self, ordinals: tuple) -> bytes:
+        """The opcode of each record of groups ``ordinals``, in event order:
+        their positions scattered into a chunk-sized byte map (C-level),
+        then the unclaimed slots deleted with one ``translate``."""
+        key = ("order", self.index, ordinals)
+        order = self._cache.get(key)
+        if order is None:
+            slots = bytearray((_NO_OPCODE,)) * self._n
+            total = 0
+            for ordinal in ordinals:
+                opcode, count, start = self._groups[ordinal]
+                checked = ("positions", self.index, ordinal)
+                positions, _end = _decode_positions(
+                    self._body, start, count, self._n, checked not in self._validated
+                )
+                self._validated.add(checked)
+                deque(map(slots.__setitem__, positions, repeat(opcode)), 0)
+                total += count
+            order = bytes(slots.translate(None, bytes((_NO_OPCODE,))))
+            if len(order) != total:
+                raise _trace_error("trace chunk opcode groups claim the same event slot")
+            self._cache[key] = order
+        return order
+
+    def _columns(self, ordinal: int) -> tuple:
+        """Group ``ordinal``'s clock and operand columns."""
+        key = ("columns", self.index, ordinal)
+        columns = self._cache.get(key)
+        if columns is None:
+            start = self._groups[ordinal][2]
+            columns = self._cache[key] = self._decode_columns(
+                ordinal,
+                _skip_block(self._body, start),
+                check=key not in self._validated,
+                compact=self._retain,
+            )
+            self._validated.add(key)
+        return columns
+
+    def _decode_columns(self, ordinal: int, pos: int, check: bool, compact: bool) -> tuple:
+        """Decode the clock and operand blocks starting at ``pos``; with
+        ``check``, run the group's index-range checks."""
+        from .hooks import Trace, _validate_records
+
+        opcode, count, _start = self._groups[ordinal]
+        layout = Trace._RECORD_LAYOUT[opcode]
+        columns = []
+        plainly_typed = True
+        for slot in range(1, layout[0]):
+            block = pos
+            column, pos, plain = _decode_block(self._body, pos)
+            if len(column) != count:
                 raise _trace_error(
-                    f"trace chunk event position out of range: {exc}"
-                ) from exc
-        return events
+                    f"{'clock' if slot == 1 else 'operand'} column count "
+                    "mismatch in trace chunk"
+                )
+            if slot > 1:
+                plainly_typed = plainly_typed and plain
+            columns.append(_compact(column, self._body[block]) if compact else column)
+        if check:
+            _validate_group(
+                opcode, layout, columns, self._counts, plainly_typed, _validate_records
+            )
+        return tuple(columns)
+
+
+def _compact(column: list, kind: int):
+    """``column`` as an ``array`` when its block kind guarantees the type:
+    float64 for clock kinds, int32 (or int64) for integer kinds.  A JSON
+    column keeps its list, preserving each value's exact type."""
+    if kind in (_K_CLK, _K_CLKSHUF):
+        return array("d", column)
+    if kind in _INT_KINDS:
+        wide = min(column) < -(1 << 31) or max(column) >= 1 << 31
+        return array("q" if wide else "i", column)
+    return column
+
+
+def _skip_block(buf, pos: int) -> int:
+    """Offset just past the column block at ``pos``, without decoding it."""
+    if pos + 3 > len(buf):
+        raise _trace_error("trace column block header is truncated")
+    _count, pos = _decode_varint(buf, pos + 3)
+    length, pos = _decode_varint(buf, pos)
+    end = pos + length
+    if end > len(buf):
+        raise _trace_error("trace column block payload is truncated")
+    return end
 
 
 def _decode_chunk_body(
@@ -628,8 +763,17 @@ def _decode_chunk_body(
     seen_nodes: int,
     seen_objects: int,
     seen_envs: int,
+    validated: Optional[set] = None,
+    cache: Optional[dict] = None,
 ) -> ColumnarChunk:
-    from .hooks import Trace, _validate_records
+    """Decode a chunk's tables and frame its opcode groups.
+
+    Group headers are parsed and their column blocks skipped by their
+    length prefixes; the columns decode on demand (see
+    :class:`ColumnarChunk` for ``validated`` and ``cache``; without
+    ``validated`` every decode is checked).
+    """
+    from .hooks import Trace
 
     layouts = Trace._RECORD_LAYOUT
     index, pos = _decode_varint(body, 0)
@@ -683,7 +827,6 @@ def _decode_chunk_body(
     n_groups, pos = _decode_varint(body, pos)
     groups = []
     total = 0
-    counts = (string_count, node_count, object_count, env_count)
     for _g in range(n_groups):
         if pos >= len(body):
             raise _trace_error("trace chunk group header is truncated")
@@ -691,26 +834,15 @@ def _decode_chunk_body(
         layout = layouts.get(opcode)
         if layout is None:
             raise _trace_error(f"unknown opcode {opcode} in trace chunk")
+        if any(opcode == seen for seen, _count, _start in groups):
+            raise _trace_error(f"opcode {opcode} has two groups in one trace chunk")
         count, pos = _decode_varint(body, pos + 1)
         if count == 0:
             raise _trace_error("empty opcode group in trace chunk")
-        positions, pos = _decode_positions(body, pos, count, n_events)
-        clocks, pos, _plain = _decode_block(body, pos)
-        if len(clocks) != count:
-            raise _trace_error("clock column count mismatch in trace chunk")
-        columns = [clocks]
-        plainly_typed = True
-        for _slot in range(2, layout[0]):
-            column, pos, plain = _decode_block(body, pos)
-            if len(column) != count:
-                raise _trace_error("operand column count mismatch in trace chunk")
-            if not plain:
-                plainly_typed = False
-            columns.append(column)
-        _validate_group(
-            opcode, layout, columns, counts, plainly_typed, _validate_records
-        )
-        groups.append((opcode, positions, tuple(columns)))
+        groups.append((opcode, count, pos))
+        # positions, clocks and one block per operand slot
+        for _block in range(layout[0]):
+            pos = _skip_block(body, pos)
         total += count
     if total != n_events:
         raise _trace_error(
@@ -719,31 +851,36 @@ def _decode_chunk_body(
         )
     if pos != len(body):
         raise _trace_error("trailing bytes after the last trace chunk group")
-    return ColumnarChunk(index, strings, nodes, objects, env_delta, n_events, groups)
+    return ColumnarChunk(
+        index,
+        strings,
+        nodes,
+        objects,
+        env_delta,
+        n_events,
+        body,
+        groups,
+        (string_count, node_count, object_count, env_count),
+        set() if validated is None else validated,
+        cache,
+    )
 
 
-def _decode_positions(body, pos: int, count: int, n_events: int):
-    """Decode a positions column and bulk-verify strict monotonicity."""
+def _decode_positions(body, pos: int, count: int, n_events: int, check: bool):
+    """Decode a positions column; with ``check``, bulk-verify that it is
+    strictly increasing and inside the chunk."""
     if pos + 3 > len(body):
         raise _trace_error("trace positions block is truncated")
-    order = body[pos + 1]
     positions, end, plain = _decode_block(body, pos)
     if not plain:
         raise _trace_error("trace chunk positions column is not integer-typed")
     if len(positions) != count:
         raise _trace_error("positions column count mismatch in trace chunk")
-    if order == 1:
-        # _decode_block already accumulated; re-derive cheap delta facts from
-        # the endpoints plus a single bulk pairwise check only when needed.
-        if positions[0] < 0 or positions[-1] >= n_events:
-            raise _trace_error("trace chunk event position out of range")
-        if count > 1 and not _strictly_increasing(positions):
-            raise _trace_error("trace chunk positions are not strictly increasing")
-    else:
-        if not positions or min(positions) < 0 or max(positions) >= n_events:
-            raise _trace_error("trace chunk event position out of range")
-        if not _strictly_increasing(positions):
-            raise _trace_error("trace chunk positions are not strictly increasing")
+    # Strictly increasing makes the endpoints the extremes.
+    if check and (positions[0] < 0 or positions[-1] >= n_events):
+        raise _trace_error("trace chunk event position out of range")
+    if check and count > 1 and not _strictly_increasing(positions):
+        raise _trace_error("trace chunk positions are not strictly increasing")
     return positions, end
 
 
@@ -953,19 +1090,19 @@ class BinaryTraceSource:
 
         self.path = str(path)
         self._mmap = None
-        self._file = None
         if buffer is None:
             try:
-                self._file = io.open(self.path, "rb")
-                try:
-                    self._mmap = mmap.mmap(
-                        self._file.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-                    buffer = self._mmap
-                except (ValueError, OSError):
-                    # Empty or unmappable file: fall back to a resident copy.
-                    self._file.seek(0)
-                    buffer = self._file.read()
+                with io.open(self.path, "rb") as handle:
+                    try:
+                        # The map holds its own descriptor: a source at
+                        # rest in a store costs one open file, not two.
+                        self._mmap = mmap.mmap(
+                            handle.fileno(), 0, access=mmap.ACCESS_READ
+                        )
+                        buffer = self._mmap
+                    except (ValueError, OSError):
+                        # Empty or unmappable file: fall back to a resident copy.
+                        buffer = handle.read()
             except OSError as exc:
                 raise _trace_error(
                     f"cannot read trace file {self.path!r}: {exc}"
@@ -1067,6 +1204,11 @@ class BinaryTraceSource:
         self._offsets = offsets
         self._header_end = header_end
         self._data_end = footer_start
+        #: Groups whose checks passed, and (see :meth:`retain_columns`) the
+        #: decoded groups every replay of this source shares; both are
+        #: filled only after the seal is checked (see ColumnarChunk).
+        self._validated: set = set()
+        self._cache: Optional[dict] = None
 
     @classmethod
     def from_bytes(cls, payload: bytes, path: str = "<memory>") -> "BinaryTraceSource":
@@ -1078,9 +1220,6 @@ class BinaryTraceSource:
             self._buf = b""
             self._mmap.close()
             self._mmap = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
     # ------------------------------------------------------------- identity
     def covers(self, required_mask: int) -> bool:
@@ -1099,65 +1238,113 @@ class BinaryTraceSource:
 
         Runs once per source: a match clears ``_content_hash``.  Files
         without the hash (container 2) skip this."""
-        if self._content_hash is None:
+        sealed = self._content_hash
+        if sealed is None:
             return
         # A memoryview slice hashes the mmap in place, without a copy.
         with memoryview(self._buf)[12 : self._data_end] as hashed:
             actual = hashlib.sha256(hashed).digest()
-        if actual != self._content_hash:
+        if actual != sealed:
             raise _trace_error(
                 f"binary trace {self.path!r} bytes do not match the SHA-256 "
                 "content digest sealed in its footer"
             )
         self._content_hash = None
 
-    def chunks(self) -> Iterator[ColumnarChunk]:
-        """Stream validated chunks from the offset index; O(chunk) resident.
-
-        The footer content hash (when present) is checked before the first
-        chunk decodes."""
-        self._check_content_hash()
+    def _frames(self) -> Iterator[tuple]:
+        """``(index, body_start, body_end)`` per chunk frame, checking that
+        the offset index (outside the content hash) tiles the data region."""
         buf = self._buf
-        seen_strings = seen_nodes = seen_objects = seen_envs = 0
-        total_events = 0
         frame_start = self._header_end
         try:
-            for expect_index, offset in enumerate(self._offsets):
-                # Frames tile the data region, so the offsets (outside the
-                # content hash) can only address the hashed frames.
+            for index, offset in enumerate(self._offsets):
                 if offset != frame_start:
                     raise _trace_error(
                         f"binary trace {self.path!r} offset index entry "
-                        f"{expect_index} does not start where the previous "
-                        "chunk ends"
+                        f"{index} does not start where the previous chunk ends"
                     )
                 body_len = _U32.unpack(buf[offset : offset + 4])[0]
-                body_end = offset + 4 + body_len
-                if body_end > self._data_end:
+                frame_start = offset + 4 + body_len
+                if frame_start > self._data_end:
                     raise _trace_error(
-                        f"binary trace {self.path!r} chunk {expect_index} "
-                        "overruns the data region"
+                        f"binary trace {self.path!r} chunk {index} overruns "
+                        "the data region"
                     )
-                frame_start = body_end
-                body = bytes(buf[offset + 4 : body_end])
-                chunk = _decode_chunk_body(
-                    body,
-                    expect_index,
-                    seen_strings,
-                    seen_nodes,
-                    seen_objects,
-                    seen_envs,
-                )
-                seen_strings += len(chunk.strings)
-                seen_nodes += len(chunk.nodes)
-                seen_objects += len(chunk.objects)
-                seen_envs += chunk.env_delta
-                total_events += chunk._n
-                yield chunk
+                yield index, offset + 4, frame_start
         except struct.error as exc:
             raise _trace_error(
                 f"binary trace {self.path!r} is truncated or corrupt: {exc}"
             ) from exc
+        if frame_start != self._data_end:
+            raise _trace_error(
+                f"binary trace {self.path!r} has bytes between its last chunk "
+                "and its footer"
+            )
+
+    def check(self) -> "BinaryTraceSource":
+        """Validate up front what a lazy replay would otherwise meet late.
+
+        A sealed file gets the footer hash over every byte plus the
+        offset-index walk (cheap: no column decodes), so any corruption is
+        caught here, before the source is served; a container-2 file has no
+        seal and is verified whole.  Stores run this once before they
+        install a source."""
+        if self.integrity != "sha256":
+            return self.verify()
+        self._check_content_hash()
+        for _frame in self._frames():
+            pass
+        return self
+
+    def retain_columns(self) -> "BinaryTraceSource":
+        """Keep every group a replay decodes, in compact columns, for the
+        replays after it (a store serving this source at rest does).
+
+        A sealed source only: the cache then grows to at most about 20
+        bytes per event of the groups replays subscribe to, instead of
+        staying O(chunk) resident."""
+        if self.integrity == "sha256" and self._cache is None:
+            self._cache = {}
+        return self
+
+    def chunks(self) -> Iterator[ColumnarChunk]:
+        """Stream chunks from the offset index; O(chunk) resident unless
+        :meth:`retain_columns` was called.
+
+        The footer content hash (when present) is checked before the first
+        chunk decodes.  A sealed file's groups decode lazily and are checked
+        once per source; a container-2 file has no seal, so each pass
+        decodes and checks every group of a chunk before it is yielded."""
+        if self.integrity == "sha256":
+            return self._chunks(self._validated, self._cache, eager=False)
+        return self._chunks(None, None, eager=True)
+
+    def _chunks(
+        self, validated: Optional[set], cache: Optional[dict], eager: bool
+    ) -> Iterator[ColumnarChunk]:
+        self._check_content_hash()
+        buf = self._buf
+        seen_strings = seen_nodes = seen_objects = seen_envs = 0
+        total_events = 0
+        for index, body_start, body_end in self._frames():
+            chunk = _decode_chunk_body(
+                bytes(buf[body_start:body_end]),
+                index,
+                seen_strings,
+                seen_nodes,
+                seen_objects,
+                seen_envs,
+                validated,
+                cache,
+            )
+            if eager:
+                chunk.decode_all()
+            seen_strings += len(chunk.strings)
+            seen_nodes += len(chunk.nodes)
+            seen_objects += len(chunk.objects)
+            seen_envs += chunk.env_delta
+            total_events += chunk._n
+            yield chunk
         if total_events != self.event_count:
             raise _trace_error(
                 f"binary trace {self.path!r} header promises "
@@ -1171,16 +1358,17 @@ class BinaryTraceSource:
 
     # ------------------------------------------------------------ whole-file
     def verify(self) -> "BinaryTraceSource":
-        """Decode and validate every chunk (bounded memory), raising on any
-        corruption.  Event tuples are materialized per chunk so the position
-        coverage check runs too."""
-        for chunk in self.chunks():
+        """Decode and check every group of every chunk (bounded memory),
+        raising on any corruption.  Event tuples are materialized per chunk
+        so the position coverage check runs too."""
+        for chunk in self._chunks(None, None, eager=False):
             chunk.events  # noqa: B018 - forces the scatter/coverage check
         return self
 
     def load(self):
         """Materialize the full :class:`~repro.jsvm.hooks.Trace` with the
-        header digest (content identity across encodings).
+        header digest (content identity across encodings), checking every
+        group.
 
         A sealed file's bytes passed the footer hash in :meth:`chunks`, so
         the header digest is adopted as is; a container-2 file re-derives
@@ -1199,7 +1387,7 @@ class BinaryTraceSource:
             env_count=self.env_count,
             dropped=self.dropped,
         )
-        for chunk in self.chunks():
+        for chunk in self._chunks(None, None, eager=False):
             trace.strings.extend(chunk.strings)
             trace.nodes.extend(chunk.nodes)
             trace.objects.extend(chunk.objects)

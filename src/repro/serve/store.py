@@ -16,9 +16,13 @@ inspected/replayed with the trace CLI.  Stores written before v1 writing was
 retired keep serving: an index row naming a ``.trace.json.gz`` segment loads
 through the v1 reader.  The JSON index carries
 one row per segment (fingerprint, mask, digest, event count, file name); on
-startup only the index is read — segments load lazily on the first covering
-``find`` and are then served from memory, and :meth:`segment_ref` hands
-pooled fan-out a ``(path, digest)`` reference workers open themselves.
+startup only the index is read.  The memory tier keeps sources, not decoded
+traces: the first covering ``find`` (or a :meth:`~DiskTraceStore.put` /
+:meth:`~DiskTraceStore.publish`) opens the segment as an mmap'd
+:class:`~repro.jsvm.tracecodec.BinaryTraceSource`, checks its footer hash
+once, and serves that source at rest; each replay decodes only the opcode
+groups its tracers subscribe to.  :meth:`segment_ref` hands pooled fan-out
+a ``(path, digest)`` reference workers open themselves.
 
 Durability and corruption policy:
 
@@ -33,7 +37,9 @@ Durability and corruption policy:
   died is deleted when a store next opens the root;
 * a corrupt, truncated or fingerprint-mismatched segment is a clean *miss*:
   the entry is dropped from the index (and the file best-effort unlinked),
-  never an exception out of ``find`` — the caller simply re-records.
+  never an exception out of ``find`` — the caller simply re-records.  The
+  footer hash covers every byte, so damage inside a group no replay has
+  decoded yet is a miss too.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..engine.cache import TraceStore
-from ..jsvm.hooks import Trace, TraceError
+from ..jsvm.hooks import Trace, TraceError, open_trace_source
 
 #: On-disk index schema version.
 INDEX_VERSION = 1
@@ -220,15 +226,16 @@ class DiskTraceStore(TraceStore):
                 # failure above) leaves no orphan behind.
                 Path(tmp).unlink(missing_ok=True)
 
-    def put(self, trace: Trace) -> Trace:
+    def put(self, trace: Trace):
         """Store and persist ``trace``, evicting covered segments on disk too.
 
         :meth:`stage` then :meth:`_publish`: the segment write happens
         outside ``_io_lock``, which guards only the index mutation and the
         atomic ``os.replace``, so concurrent puts from different tenants
-        overlap their serialization work.
+        overlap their serialization work.  The memory tier then keeps, and
+        this returns, the published segment's source rather than ``trace``
+        (``trace`` itself only when that segment is already gone again).
         """
-        super().put(trace)
         row = self._row(trace)
         with self._io_lock:
             known = any(
@@ -239,21 +246,42 @@ class DiskTraceStore(TraceStore):
         if not known:
             tmp, row = self.stage(self.root, trace, self.chunk_events)
         self._publish(tmp, row, trace)
-        return trace
+        try:
+            served = self._open_segment(row)
+        except (TraceError, OSError):
+            # A covering put evicted the row meanwhile; the recording is
+            # still good for this store's memory tier.
+            served = trace
+        return super().put(served)
 
-    def publish(self, tmp, row: dict) -> Trace:
+    def publish(self, tmp, row: dict):
         """Install a segment another process staged, and serve it.
 
         A pool worker recorded the trace and ran :meth:`stage` into this
-        store's root; this publishes ``(tmp, row)`` under the lock, loads the
-        segment back through its footer-hash check (the header digest is
-        adopted, not re-derived), installs the trace in the memory tier and
-        counts it as a recording, exactly as :meth:`put` would have.  The
-        temp file never outlives a failure here.
+        store's root; this publishes ``(tmp, row)`` under the lock, opens the
+        segment and checks its footer hash (no column is decoded), installs
+        the source in the memory tier and counts it as a recording, exactly
+        as :meth:`put` would have.  The temp file never outlives a failure
+        here.
         """
         self._publish(Path(tmp), row)
-        trace = Trace.load(str(self._segment_path(row)))
-        return TraceStore.put(self, trace)
+        return TraceStore.put(self, self._open_segment(row))
+
+    def _open_segment(self, entry: dict):
+        """The segment of index row ``entry``, opened and checked for serving.
+
+        A binary segment stays an mmap'd source at rest: its footer hash is
+        checked once here, so corruption raises now rather than mid-replay,
+        and it keeps the groups replays decode (see
+        :meth:`~repro.jsvm.tracecodec.BinaryTraceSource.retain_columns`).
+        A legacy v1 segment is read whole into a :class:`Trace`.
+        """
+        source = open_trace_source(str(self._segment_path(entry)))
+        if isinstance(source, Trace):
+            return source
+        if source.encoding == "binary":
+            return source.check().retain_columns()
+        return source.load()
 
     def _covering_locked(self, fingerprint: str, required_mask: int) -> List[dict]:
         """Index rows covering ``required_mask``, narrowest mask first."""
@@ -295,20 +323,20 @@ class DiskTraceStore(TraceStore):
                 for entry in self._index.get(fingerprint, ())
             )
 
-    def _find_fallback(self, fingerprint: str, required_mask: int) -> Optional[Trace]:
-        """Load the cheapest covering segment from disk; corruption = miss.
+    def _find_fallback(self, fingerprint: str, required_mask: int):
+        """Open the cheapest covering segment from disk; corruption = miss.
 
-        Segments decode **outside** ``_io_lock`` (a decode takes up to a
-        second or so, and every tenant's ``put``/``has``/``segment_ref``
-        needs the lock); the lock is re-taken only to count and to drop a
-        corrupt entry.  An entry a concurrent put evicted meanwhile is gone
-        from the index and is not counted as corrupt.
+        Segments open and hash **outside** ``_io_lock`` (every tenant's
+        ``put``/``has``/``segment_ref`` needs the lock); the lock is re-taken
+        only to count and to drop a corrupt entry.  An entry a concurrent put
+        evicted meanwhile is gone from the index and is not counted as
+        corrupt.
         """
         with self._io_lock:
             candidates = self._covering_locked(fingerprint, required_mask)
         for entry in candidates:
             try:
-                trace = Trace.load(str(self._segment_path(entry)))
+                trace = self._open_segment(entry)
             except (TraceError, OSError, EOFError, zlib.error, ValueError):
                 # gzip surfaces truncation as EOFError and stream damage
                 # as zlib.error — neither is an OSError.

@@ -538,6 +538,24 @@ class TestPoolRecording:
         }
         assert encode_json(served["result"]) == encode_json(expected.to_dict())
 
+    @pytest.mark.parametrize("on_pool", [True, False], ids=["pool", "in-process"])
+    def test_one_cold_request_counts_one_miss_and_one_recording(
+        self, tmp_path, monkeypatch, on_pool
+    ):
+        if not on_pool:
+            monkeypatch.setattr(pipeline_module, "WorkerPool", _NoForkPool)
+        body = {
+            "script": script_payload(f"one-miss-{on_pool}", "serve-one-miss"),
+            "modes": ["lightweight"],
+        }
+        with serving(store_dir=str(tmp_path)) as running:
+            before = running.stats()
+            client_for(running).analyze(**body)
+            after = running.stats()
+        assert after["store"]["misses"] - before["store"]["misses"] == 1
+        assert after["recordings"] - before["recordings"] == 1
+        assert after["pool"]["recordings"] == (1 if on_pool else 0)
+
     def test_concurrent_identical_submissions_record_once(self, tmp_path):
         body = {"script": script_payload("pool-flight", "serve-pool-flight"), "modes": ["lightweight"]}
         fanout = 4

@@ -13,12 +13,21 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.api import AnalysisSession, RunSpec
+from repro.api.spec import LIGHTWEIGHT, LOOP_PROFILE
 from repro.engine.cache import TraceStore
-from repro.jsvm.hooks import Trace, open_trace_source
+from repro.jsvm.hooks import TR_STATEMENT, Trace, TraceError, open_trace_source
+from repro.jsvm.tracecodec import BinaryTraceSource, _skip_block
+from repro.serve.protocol import encode_json
 from repro.serve.store import DiskTraceStore
 
 
@@ -377,7 +386,8 @@ class TestDiskTraceStore:
         assert tmp.parent == tmp_path and tmp.name.endswith(".tmp")
         served = store.publish(tmp, row)
         assert not tmp.exists()
-        assert served.digest() == trace.digest() and served == trace
+        # The memory tier serves the published segment's source, at rest.
+        assert served.digest() == trace.digest() and served.load() == trace
         assert store.puts == 1 and store.segments_written == 1
         assert store.find("fp-a", 0b0110) is served
         assert DiskTraceStore(tmp_path).segment_count() == 1
@@ -517,17 +527,21 @@ class TestStoreConcurrency:
 
     @staticmethod
     def _gate_segment_loads(monkeypatch):
-        """Make ``Trace.load`` block until released; returns the events
-        (started, release)."""
+        """Make the store's first segment open block until released (later
+        opens, such as a put serving its own segment, pass); returns the
+        events (started, release)."""
+        import repro.serve.store as store_module
+
         started, release = threading.Event(), threading.Event()
-        original = Trace.load
+        original = store_module.open_trace_source
 
         def gated(path):
-            started.set()
-            assert release.wait(10.0), "gated segment load never released"
+            if not started.is_set():
+                started.set()
+                assert release.wait(10.0), "gated segment load never released"
             return original(path)
 
-        monkeypatch.setattr(Trace, "load", staticmethod(gated))
+        monkeypatch.setattr(store_module, "open_trace_source", gated)
         return started, release
 
     def test_put_completes_while_another_segment_decodes(self, tmp_path, monkeypatch):
@@ -607,3 +621,143 @@ class TestRealTraceRoundTrip:
         assert second.to_dict() == first.to_dict()
         fingerprint = workload_fingerprint(get_workload("MyScript"))
         assert fingerprint in store.fingerprints()
+
+
+# ------------------------------------------------------- lazy-decode fuzzing
+_FIXTURE = Path(__file__).parent / "fixtures" / "myscript-container2.trace.bin"
+#: A replay that never decodes the statement, property or variable groups.
+_LAZY_SPEC = RunSpec.composed(LIGHTWEIGHT, LOOP_PROFILE, publish=False).replay()
+
+
+def _served_payload(source) -> bytes:
+    with AnalysisSession(trace_store=TraceStore()) as session:
+        return encode_json(session.replay_trace(source, _LAZY_SPEC).to_dict())
+
+
+def _frames(data: bytes):
+    """``(offset, frame_bytes)`` per chunk frame of a binary segment."""
+    source = BinaryTraceSource.from_bytes(data)
+    return [
+        (start - 4, data[start - 4 : end]) for _index, start, end in source._frames()
+    ]
+
+
+def _group_spans(data: bytes, opcode: int):
+    """File byte ranges of every ``opcode`` group's column blocks."""
+    source = BinaryTraceSource.from_bytes(data)
+    arity = Trace._RECORD_LAYOUT[opcode][0]
+    spans = []
+    for (_index, body_start, _end), chunk in zip(source._frames(), source.chunks()):
+        for group_opcode, _count, start in chunk._groups:
+            if group_opcode == opcode:
+                end = start
+                for _block in range(arity):
+                    end = _skip_block(chunk._body, end)
+                spans.append((body_start + start, body_start + end))
+    return spans
+
+
+@pytest.fixture(scope="module")
+def sealed_segment(tmp_path_factory):
+    """MyScript as a multi-chunk container-3 store segment: the store's
+    index text, the segment's name and bytes, and the served payload."""
+    trace = open_trace_source(str(_FIXTURE)).load()
+    root = tmp_path_factory.mktemp("sealed")
+    store = DiskTraceStore(root, chunk_events=2048)
+    store.put(trace)
+    store.close()
+    (segment,) = root.glob("*.trace.bin")
+    data = segment.read_bytes()
+    assert len(_frames(data)) > 2
+    return {
+        "trace": trace,
+        "index": (root / "index.json").read_text(),
+        "name": segment.name,
+        "data": data,
+        "payload": _served_payload(DiskTraceStore(root).find(trace.fingerprint, trace.mask)),
+        "statements": _group_spans(data, TR_STATEMENT),
+        "work": tmp_path_factory.mktemp("mutants"),
+    }
+
+
+@st.composite
+def _mutations(draw, data: bytes, statements):
+    kind = draw(st.sampled_from(["flip", "unread-flip", "footer-flip", "truncate", "splice"]))
+    if kind.endswith("flip"):
+        if kind == "flip":
+            at = draw(st.integers(0, len(data) - 1))
+        elif kind == "unread-flip":  # inside a group the replay never decodes
+            start, end = draw(st.sampled_from(statements))
+            at = draw(st.integers(start, end - 1))
+        else:  # the footer: counts, seal and offset index, outside the seal
+            footer_len = struct.unpack_from("<I", data, len(data) - 12)[0]
+            at = draw(st.integers(len(data) - 12 - footer_len, len(data) - 13))
+        mutated = bytearray(data)
+        mutated[at] ^= 1 << draw(st.integers(0, 7))
+        return bytes(mutated)
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    # Splice: chunk i's frame replaced by chunk j's, with the offset index
+    # rewritten to tile the new frames, so only the seal can tell.
+    frames = _frames(data)
+    i = draw(st.integers(0, len(frames) - 1))
+    j = draw(st.integers(0, len(frames) - 1))
+    bodies = [frame for _offset, frame in frames]
+    bodies[i] = bodies[j]
+    head_end = frames[0][0]
+    footer_len = struct.unpack_from("<I", data, len(data) - 12)[0]
+    footer = data[len(data) - 12 - footer_len : len(data) - 12]
+    offsets, at = [], head_end
+    for body in bodies:
+        offsets.append(at)
+        at += len(body)
+    index_bytes = b"".join(struct.pack("<Q", offset) for offset in offsets)
+    footer = footer[: len(footer) - len(index_bytes)] + index_bytes
+    return b"".join(
+        [data[:head_end], *bodies, footer, struct.pack("<I", len(footer)), data[-8:]]
+    )
+
+
+class TestLazyDecodeCorruption:
+    """Corruption of a sealed segment, anywhere (also inside groups a replay
+    never decodes), is a clean miss with the index entry dropped; ``verify``
+    refuses the same bytes."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_mutated_segment_is_a_clean_miss_or_serves_identically(
+        self, sealed_segment, data
+    ):
+        seed = sealed_segment
+        mutated = data.draw(_mutations(seed["data"], seed["statements"]))
+        root = Path(tempfile.mkdtemp(dir=seed["work"]))
+        (root / "index.json").write_text(seed["index"])
+        (root / seed["name"]).write_bytes(mutated)
+        trace = seed["trace"]
+        store = DiskTraceStore(root)
+        found = store.find(trace.fingerprint, trace.mask)
+        if found is None:
+            assert store.segment_count() == 0 and store.corrupt_segments == 1
+            assert not (root / seed["name"]).exists()
+        else:
+            assert _served_payload(found) == seed["payload"]
+        if mutated != seed["data"]:
+            probe = root / "probe.trace.bin"
+            probe.write_bytes(mutated)
+            with pytest.raises(TraceError):
+                open_trace_source(str(probe)).verify()
+        shutil.rmtree(root)
+
+    def test_offset_pointing_inside_a_frame_is_a_clean_miss(self, sealed_segment, tmp_path):
+        # The offset index sits outside the seal: the one-time check walks
+        # it, so the damage is a miss rather than a failed replay later.
+        seed = sealed_segment
+        data = bytearray(seed["data"])
+        second_at = len(data) - 12 - 8 * (len(_frames(seed["data"])) - 1)
+        (second,) = struct.unpack_from("<Q", data, second_at)
+        struct.pack_into("<Q", data, second_at, second + 1)
+        (tmp_path / "index.json").write_text(seed["index"])
+        (tmp_path / seed["name"]).write_bytes(bytes(data))
+        store = DiskTraceStore(tmp_path)
+        assert store.find(seed["trace"].fingerprint, seed["trace"].mask) is None
+        assert store.corrupt_segments == 1 and store.segment_count() == 0

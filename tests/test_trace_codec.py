@@ -33,9 +33,21 @@ import pytest
 from repro.analysis.casestudy import CaseStudyRunner, pipeline_trace_mask
 from repro.api import AnalysisSession, RunSpec
 from repro.api.spec import DEPENDENCE, GECKO, LIGHTWEIGHT, LOOP_PROFILE
+from repro.browser.gecko_profiler import GeckoProfiler
+from repro.ceres.loop_profiler import LoopProfiler
 from repro.jsvm.hooks import (
+    EV_FUNCTION,
+    EV_LOOP,
+    EV_STATEMENT,
+    TR_FUNC_ENTER,
+    TR_FUNC_EXIT,
+    TR_LOOP_ENTER,
+    TR_LOOP_EXIT,
+    TR_LOOP_ITER,
+    TR_STATEMENT,
     Trace,
     TraceFormatError,
+    TraceReplayer,
     TraceVersionError,
     open_trace_source,
 )
@@ -538,3 +550,100 @@ class TestCrossFormatIdentity:
         loaded = open_trace_source(str(path)).load()
         assert loaded.digest() == empty.digest()
         assert loaded.events == []
+
+
+# ------------------------------------------------------------ lazy decode
+class TestLazyGroupDecode:
+    """A sealed source decodes only the opcode groups a replay subscribes
+    to, checks each group on its first decode, and keeps the checked
+    columns for later replays; ``verify()`` still checks every group."""
+
+    @staticmethod
+    def _bad_statement_trace() -> Trace:
+        """Loop events plus one statement naming a node that does not exist.
+        The writer seals these bytes as they are, so only the group checks
+        can catch the bad index."""
+        trace = Trace(
+            mask=EV_LOOP | EV_FUNCTION | EV_STATEMENT, workload="lazy", fingerprint="fp-lazy"
+        )
+        trace.strings.append("ForStatement")
+        trace.nodes.append([1, 3, 0])
+        trace.events.extend(
+            [
+                (TR_LOOP_ENTER, 1.0, 0),
+                (TR_STATEMENT, 2.0, 7),
+                (TR_LOOP_ITER, 2.5, 0, 0),
+                (TR_LOOP_EXIT, 3.0, 0, 1),
+            ]
+        )
+        return trace
+
+    @staticmethod
+    def _open(path: str, retain: bool):
+        source = open_trace_source(path).check()  # the seal itself holds
+        return source.retain_columns() if retain else source
+
+    @pytest.mark.parametrize("retain", [False, True], ids=["streamed", "retained"])
+    def test_unsubscribed_group_is_never_decoded_but_verify_checks_it(
+        self, tmp_path, retain
+    ):
+        path = str(tmp_path / "bad-statement.trace.bin")
+        write_binary_trace(self._bad_statement_trace(), path)
+        source = self._open(path, retain)
+        profiler = LoopProfiler()
+        TraceReplayer(source).replay([profiler])  # statements stay encoded
+        assert [profile.instances for profile in profiler.profiles.values()] == [1]
+        with pytest.raises(TraceFormatError, match="node index out of range"):
+            TraceReplayer(source).replay([GeckoProfiler()])
+        with pytest.raises(TraceFormatError, match="node index out of range"):
+            open_trace_source(path).verify()
+
+    def test_bad_positions_fail_the_first_replay(self, recorded, tmp_path, monkeypatch):
+        from repro.jsvm import tracecodec
+
+        original = tracecodec._encode_positions
+        monkeypatch.setattr(
+            tracecodec, "_encode_positions", lambda positions: original(positions[::-1])
+        )
+        _workload, trace = recorded
+        path = str(tmp_path / "reversed-positions.trace.bin")
+        write_binary_trace(trace, path, chunk_events=CHUNK_EVENTS)
+        monkeypatch.setattr(tracecodec, "_encode_positions", original)
+        source = open_trace_source(path).check()
+        with pytest.raises(TraceFormatError, match="strictly increasing"):
+            TraceReplayer(source).replay([LoopProfiler()])
+        with pytest.raises(TraceFormatError, match="strictly increasing"):
+            open_trace_source(path).verify()
+
+    @pytest.mark.parametrize("retain", [False, True], ids=["streamed", "retained"])
+    def test_groups_are_checked_on_first_decode_only(self, binary_path, monkeypatch, retain):
+        from repro.jsvm import tracecodec
+
+        checked = []
+        original = tracecodec._validate_group
+
+        def counting(opcode, *args):
+            checked.append(opcode)
+            return original(opcode, *args)
+
+        monkeypatch.setattr(tracecodec, "_validate_group", counting)
+        source = self._open(binary_path, retain)
+        wanted = {TR_STATEMENT, TR_FUNC_ENTER, TR_FUNC_EXIT}
+        groups = [
+            opcode
+            for chunk in source.chunks()
+            for opcode in chunk.group_counts()
+        ]
+        first = GeckoProfiler()
+        TraceReplayer(source).replay([first])
+        assert sorted(checked) == sorted(op for op in groups if op in wanted)
+        checked.clear()
+        second = GeckoProfiler()
+        TraceReplayer(source).replay([second])
+        assert checked == []  # each group was checked on its first decode
+        assert (second.profile.sample_count, second.profile.active_count) == (
+            first.profile.sample_count,
+            first.profile.active_count,
+        )
+        source.verify()
+        assert sorted(checked) == sorted(groups)  # verify checks them all

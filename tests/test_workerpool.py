@@ -25,8 +25,10 @@ from repro.engine.workerpool import (
     UnknownWorkloadError,
     WorkerCrashError,
     WorkerPool,
+    fetch_trace_task,
     run_inherited,
 )
+from repro.jsvm.hooks import Trace
 from repro.serve.store import DiskTraceStore
 from repro.workloads import get_workload
 from repro.workloads.base import REGISTRY, Workload
@@ -284,6 +286,26 @@ class TestPipelineOnPool:
             assert build_tables(second).render_table2() == build_tables(
                 first
             ).render_table2()
+
+    def test_fetch_of_a_ref_attached_trace_returns_a_trace(self, tiny_workloads, tmp_path):
+        """A worker serving a trace it attached by segment reference hands
+        back a loaded ``Trace``: its mmap-backed source cannot be pickled."""
+        store = DiskTraceStore(tmp_path / "store")
+        pipeline = AnalysisPipeline(workers=2, trace_store=store)
+        workload = tiny_workloads[0]
+        fingerprint = workload_fingerprint(workload)
+        mask = pipeline_trace_mask()
+        with AnalysisSession(pipeline=pipeline) as session:
+            session.record_trace(workload)
+            assert pipeline._run_on_pool([workload]) is not None
+            pool = pipeline._pool
+            assert pool.trace_refs_shipped == 1
+            task = PoolTask(
+                fn=fetch_trace_task, args=(fingerprint, mask), cache_key=fingerprint
+            )
+            (fetched,) = pool.run_tasks([task])
+        assert isinstance(fetched, Trace)
+        assert fetched == store.find(fingerprint, mask).load()
 
     def test_workload_registered_after_spawn_triggers_refresh(self, tiny_workloads):
         pipeline = AnalysisPipeline(workers=2)
