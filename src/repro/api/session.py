@@ -233,8 +233,16 @@ class AnalysisSession:
 
         ``trace`` may be an in-memory :class:`Trace` or any other chunk
         source (e.g. :class:`~repro.jsvm.hooks.TraceFileSource`, which
-        replays in memory bounded by its chunk size).
+        replays in memory bounded by its chunk size).  Without one, a pool
+        worker serves the run when the pipeline can
+        (:meth:`~repro.engine.pipeline.AnalysisPipeline.replay_on_pool`:
+        a disk store holding a covering segment, width above 1); else the
+        store's trace replays here, recorded first on a miss.
         """
+        if trace is None:
+            served = self.pipeline.replay_on_pool(workload, spec)
+            if served is not None:
+                return RunResult.from_dict(served)
         proxy, _documents = self._host_and_intercept(workload, spec)  # never executed
         focus_loop_id = self._resolve_focus(spec, proxy.registry, workload.name)
 

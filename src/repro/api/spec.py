@@ -74,6 +74,10 @@ class UnknownFocusLineError(ValueError):
             f"loops are declared at lines {self.known_lines}"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its own fields, so it crosses a pool pipe intact.
+        return type(self), (self.workload, self.focus_line, self.known_lines)
+
 
 @dataclass(frozen=True)
 class RunSpec:

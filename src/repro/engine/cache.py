@@ -261,6 +261,18 @@ class TraceStore:
             self._traces[trace.fingerprint] = kept
         return trace
 
+    def count_hit(self) -> None:
+        """Count a hit served from this store's trace by another process (a
+        pool worker replaying its segment), as :meth:`find` would have."""
+        with self._lock:
+            self.hits += 1
+
+    def forget(self, fingerprint: str) -> None:
+        """Drop ``fingerprint``'s memory-tier entries; a second tier keeps
+        its copy, which the next :meth:`find` re-opens and re-checks."""
+        with self._lock:
+            self._traces.pop(fingerprint, None)
+
     def _find_fallback(self, fingerprint: str, required_mask: int):
         """Second-tier lookup hook for memory misses (None in the base store)."""
         return None

@@ -24,6 +24,10 @@ A trace nobody holds yet records on the pool too when the pipeline's store
 is a :class:`~repro.serve.store.DiskTraceStore`
 (:meth:`AnalysisPipeline.record_on_pool`): the worker stages the encoded
 segment in the store's root and keeps nothing, the parent publishes it.
+With such a store, a warm replay leaves this process as well
+(:meth:`AnalysisPipeline.replay_on_pool`): a worker attaches the stored
+segment once by reference, replays it on its own session and returns the
+finished result, so this process never opens or decodes the segment.
 """
 
 from __future__ import annotations
@@ -132,6 +136,26 @@ def _record_segment_task(
     return stage(root, trace, chunk_events)
 
 
+def _replay_task(context: PoolWorkerContext, heavy, ref, spec) -> Optional[dict]:
+    """Pool task: serve one replaying run from a stored trace on this worker.
+
+    ``ref`` names the workload as for :func:`_record_segment_task`;
+    ``heavy`` (shipped once per worker and fingerprint) is the parent
+    store's segment reference, which the worker attaches at rest
+    (:meth:`~repro.engine.workerpool.PoolWorkerContext._install_ref`).  The
+    replay runs :meth:`AnalysisSession._run_replayed
+    <repro.api.session.AnalysisSession._run_replayed>` on the worker's own
+    session and returns ``RunResult.to_dict()``; ``None`` means this worker
+    holds no covering trace (it refused the segment), and it records nothing.
+    """
+    workload = resolve_workload(ref) if isinstance(ref, str) else ref
+    context.install(workload, heavy)
+    trace = context.trace_store.find(workload_fingerprint(workload), spec.combined_mask())
+    if trace is None:
+        return None
+    return context.session()._run_replayed(workload, spec, trace=trace).to_dict()
+
+
 class AnalysisPipeline:
     """Owns caching, stage scheduling and fan-out for case-study batches.
 
@@ -178,10 +202,12 @@ class AnalysisPipeline:
         #: Guards pool creation and the recording counters (the serve
         #: daemon records from several executor threads).
         self._lock = threading.Lock()
-        #: Cold recordings a pool worker made for the disk store, and the
-        #: ones that ran in process because the pool could not take them.
+        #: Cold recordings a pool worker made for the disk store, the ones
+        #: that ran in process because the pool could not take them, and
+        #: the warm replays a pool worker served.
         self.pool_recordings = 0
         self.pool_fallbacks = 0
+        self.pool_replays = 0
 
     # ------------------------------------------------------------------ pool
     def _ensure_pool(self) -> Optional[WorkerPool]:
@@ -227,20 +253,21 @@ class AnalysisPipeline:
                 return None
             raise
 
-    def _records_on_pool(self) -> bool:
-        """Whether cold recordings go to a pool worker: the store stages
-        segments itself (a disk store) and the resolved width is above 1."""
+    def _serves_on_pool(self) -> bool:
+        """Whether cold recordings and warm replays go to pool workers: the
+        store stages and references segments itself (a disk store) and the
+        resolved width is above 1."""
         return callable(getattr(self.trace_store, "publish", None)) and (
             resolve_worker_count(self.workers, 1 << 30) > 1
         )
 
     def start_pool(self) -> None:
-        """Fork the pool's first worker now, if this pipeline records on one.
+        """Fork the whole pool now, if this pipeline serves on one.
 
         A threaded server calls this before it starts any thread, so the
         fork cannot copy a lock some other thread holds.
         """
-        if self._records_on_pool():
+        if self._serves_on_pool():
             pool = self._ensure_pool()
             if pool is not None:
                 pool.start()
@@ -252,6 +279,7 @@ class AnalysisPipeline:
             "workers_alive": len(pool.worker_pids()) if pool is not None else 0,
             "recordings": self.pool_recordings,
             "in_process_fallbacks": self.pool_fallbacks,
+            "replays": self.pool_replays,
         }
 
     def close(self) -> None:
@@ -394,16 +422,13 @@ class AnalysisPipeline:
         :class:`~repro.engine.workerpool.WorkerCrashError` — it is never
         re-run here.
         """
-        if not self._records_on_pool():
+        if not self._serves_on_pool():
             return None
         mask = mask if mask is not None else pipeline_trace_mask()
-        ref = workload.name if self._registry_reconstructible([workload]) else workload
+        ref = self._shipped_workload(workload)
         store = self.trace_store
-        try:
-            pickle.dumps(ref)
-        except Exception:  # noqa: BLE001 - any pickling failure → in process
-            staged = None
-        else:
+        staged = None
+        if ref is not None:
             task = PoolTask(
                 fn=_record_segment_task,
                 args=(store.stage, ref, mask, str(store.root), store.chunk_events),
@@ -417,7 +442,72 @@ class AnalysisPipeline:
             self.pool_recordings += 1
         return self.trace_store.publish(*staged[0])
 
+    def replay_on_pool(self, workload, spec) -> Optional[dict]:
+        """Serve replaying ``spec`` on a pool worker; ``RunResult.to_dict()``.
+
+        Applies when :meth:`record_on_pool` does (a disk store, width above
+        1), the store holds a covering on-disk segment (its
+        ``segment_ref``) and the spec neither commits results nor
+        speculates — both belong to the calling session.  The task carries
+        the fingerprint as its cache key and the segment reference as its
+        heavy payload, so each worker attaches a segment once and later
+        requests for it prefer a worker that holds it.  The worker runs the
+        session's own replay code and returns the result; this process
+        never opens or decodes the segment, and counts one store hit.
+
+        ``None`` means "replay in process": the pool does not apply or is
+        unavailable, or the worker refused the segment — then the store's
+        memory tier forgets the fingerprint, so the caller's ``find``
+        re-opens and re-checks the segment (a corrupt one is dropped and
+        counted, and the key records again).  Guest-side exceptions
+        propagate, and a task that crashed its worker raises
+        :class:`~repro.engine.workerpool.WorkerCrashError` — it is never
+        re-run here.
+        """
+        from ..api.spec import SPECULATE
+
+        if (
+            spec.commit_suffix() is not None
+            or SPECULATE in spec.tracers
+            or not self._serves_on_pool()
+        ):
+            return None
+        fingerprint = workload_fingerprint(workload)
+        segment = self.trace_store.segment_ref(fingerprint, spec.combined_mask())
+        ref = self._shipped_workload(workload) if segment is not None else None
+        if ref is None:
+            return None
+        task = PoolTask(
+            fn=_replay_task,
+            args=(ref, spec),
+            cache_key=fingerprint,
+            heavy=lambda: {"trace_ref": segment},
+            label=workload.name,
+        )
+        served = self._run_tasks([task])
+        if served is None:
+            return None
+        if served[0] is None:
+            self.trace_store.forget(fingerprint)
+            return None
+        self.trace_store.count_hit()
+        with self._lock:
+            self.pool_replays += 1
+        return served[0]
+
     # ------------------------------------------------------------------ fanout
+    def _shipped_workload(self, workload):
+        """How a one-workload pool task ships ``workload``: by registered
+        name when the registry rebuilds it identically, else by value;
+        ``None`` when it cannot be pickled (the caller runs in process)."""
+        if self._registry_reconstructible([workload]):
+            return workload.name
+        try:
+            pickle.dumps(workload)
+        except Exception:  # noqa: BLE001 - any pickling failure → in process
+            return None
+        return workload
+
     @staticmethod
     def _registry_reconstructible(workloads: Sequence) -> bool:
         """True when every workload can be rebuilt *identically* by name.

@@ -1,18 +1,22 @@
 """Persistent worker pool: the one way the pipeline uses more than one process.
 
 :class:`~repro.engine.pipeline.AnalysisPipeline` uses one :class:`WorkerPool`
-for two kinds of work, and runs either in process when the pool cannot:
+for three kinds of work, and runs each in process when the pool cannot:
 
 * a case-study batch fans out across workloads, one analysis task each;
 * with a disk-backed trace store, a cold trace is recorded on a worker,
   which also digests and encodes it into a temp segment file; the parent
-  only publishes that file (the serve daemon's cold keys take this path,
-  so guest execution leaves the daemon's GIL).
+  only publishes that file;
+* with a disk-backed store, a warm replay runs on a worker that attaches
+  the stored segment by reference and returns the finished result.
 
-* Workers are long-lived processes forked once per pool (lazily, on the
-  first batch, or up front through :meth:`WorkerPool.start` — the daemon
-  forks its first worker before it starts any thread) and reused across
-  batches.  Each worker owns a persistent
+The serve daemon's cold keys and warm requests take the last two paths, so
+neither guest execution nor trace replay holds the daemon's GIL.
+
+* Workers are long-lived processes forked once per pool (lazily, as
+  calls need them, or all at once through :meth:`WorkerPool.start` — the
+  daemon forks the whole pool before it starts any thread) and reused
+  across calls.  Each worker owns a persistent
   :class:`~repro.engine.cache.ScriptCache`,
   :class:`~repro.engine.cache.BytecodeCache` and
   :class:`~repro.engine.cache.TraceStore`.  Bytecode and any trace the
@@ -21,10 +25,13 @@ for two kinds of work, and runs either in process when the pool cannot:
   the analysis; the parent learns which fingerprints a worker holds (its
   ``cache_keys``, see :meth:`WorkerPool.holdings`) and fetches one trace
   from its owner only when a caller asks for it.
-* Tasks flow through per-worker deques with fingerprint affinity (a task for
-  workload *F* goes to a worker that already holds *F*).  Idle workers drain
-  their own queue first, then steal from the longest sibling queue, so a
-  batch of mixed-cost workloads keeps every worker busy.
+* Concurrent submitters share the pool: each :meth:`WorkerPool.run_tasks`
+  call claims idle workers under the pool lock and drives only those,
+  outside it.  Within a call, tasks flow through per-worker deques with
+  fingerprint affinity (a task for workload *F* goes to a claimed worker
+  that already holds *F*).  Idle workers drain their own queue first, then
+  steal from the longest sibling queue of the same call, so a batch of
+  mixed-cost workloads keeps its workers busy.
 * The parent and each worker speak a simple duplex pipe protocol.  The
   dispatch loop doubles as the heartbeat: it waits on worker pipes with a
   short timeout and polls ``Process.is_alive``; a dead worker's in-flight
@@ -46,6 +53,7 @@ import os
 import pickle
 import signal
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
 
@@ -117,6 +125,18 @@ class PoolWorkerContext:
         self.bytecode_cache = BytecodeCache()
         self.script_cache = ScriptCache(bytecode_cache=self.bytecode_cache)
         self.trace_store = TraceStore()
+        self._session = None
+
+    def session(self):
+        """This worker's analysis session over its own caches (width 1, so
+        it never forks a pool of its own); built on first use."""
+        if self._session is None:
+            from ..api.session import AnalysisSession
+
+            self._session = AnalysisSession(
+                workers=1, script_cache=self.script_cache, trace_store=self.trace_store
+            )
+        return self._session
 
     def install(self, workload, heavy: Optional[dict]) -> None:
         """Absorb a shipped heavy payload into the worker-local caches."""
@@ -315,6 +335,8 @@ class _WorkerHandle:
     inflight: Optional[PoolTask] = None
     inflight_id: int = -1
     tasks_done: int = 0
+    #: True while a :meth:`WorkerPool.run_tasks` call drives this worker.
+    claimed: bool = False
 
     @property
     def load(self) -> int:
@@ -325,10 +347,10 @@ class WorkerPool:
     """Long-lived fork-based worker pool with work stealing and crash recovery.
 
     One pool per :class:`~repro.engine.pipeline.AnalysisPipeline`, forked on
-    its first batch or by :meth:`start`.  Batches (a single cold recording
-    is a batch of one) are driven synchronously by the submitting thread
-    under an internal lock, so concurrent submitters serialize at batch
-    granularity — the workers themselves stay busy across batches.
+    its first batch or by :meth:`start`.  Each :meth:`run_tasks` call (a
+    single cold recording or warm replay is a call of one task) claims idle
+    workers under the pool lock and drives them from the submitting thread
+    outside it, so concurrent submitters run on distinct workers at once.
     """
 
     def __init__(self, width: Optional[int] = None) -> None:
@@ -350,9 +372,18 @@ class WorkerPool:
         self.traces_shipped = 0
         self.trace_bytes_shipped = 0
         self.trace_refs_shipped = 0
+        import itertools
         import threading
 
-        self._lock = threading.RLock()
+        #: Guards the handle list, claims and counters; signalled whenever
+        #: a worker is released, so waiting submitters re-check.
+        self._changed = threading.Condition(threading.Lock())
+        #: Nonzero while ``close``/``refresh``/``ping`` wait for every
+        #: claimed worker to come back; new claims wait meanwhile.
+        self._quiescing = 0
+        #: Pool-wide task ids, so a reply meant for an earlier call is
+        #: recognised as stale.
+        self._wire_ids = itertools.count()
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -368,29 +399,43 @@ class WorkerPool:
         return [h.process.pid for h in list(self._handles) if h.process.is_alive()]
 
     def start(self) -> None:
-        """Fork the first worker now rather than on the first batch.
+        """Fork the pool's full width now rather than on demand.
 
         ``fork`` copies only the calling thread, and a lock another thread
         holds at that moment stays held in the child forever; a threaded
-        server therefore starts its worker before its first thread.
+        server therefore starts its workers before its first thread.
         """
-        with self._lock:
+        with self._changed:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            self._ensure_workers(1)
+            self._handles = [h for h in self._handles if h.process.is_alive()]
+            while len(self._handles) < self.width:
+                self._spawn_worker()
 
     def holdings(self) -> Dict[int, frozenset]:
         """Cache keys (trace fingerprints) each live worker holds, by PID."""
-        with self._lock:
+        with self._changed:
             return {
                 h.process.pid: frozenset(h.cache_keys)
                 for h in self._handles
                 if h.process.is_alive()
             }
 
+    @contextmanager
+    def _quiesced(self):
+        """Hold the pool lock once no worker is claimed; claims wait meanwhile."""
+        with self._changed:
+            self._quiescing += 1
+            try:
+                self._changed.wait_for(lambda: not any(h.claimed for h in self._handles))
+                yield
+            finally:
+                self._quiescing -= 1
+                self._changed.notify_all()
+
     def ping(self) -> bool:
         """Heartbeat round-trip through every live worker."""
-        with self._lock:
+        with self._quiesced():
             if self._closed or not self._handles:
                 return False
             self._ping_token += 1
@@ -408,12 +453,12 @@ class WorkerPool:
 
     def refresh(self) -> None:
         """Respawn workers on next use (re-inheriting registry and modules)."""
-        with self._lock:
+        with self._quiesced():
             self._stop_workers()
 
     def close(self) -> None:
-        """Shut down every worker; safe to call repeatedly."""
-        with self._lock:
+        """Shut down every worker once running calls finish; idempotent."""
+        with self._quiesced():
             if self._closed:
                 return
             self._closed = True
@@ -467,14 +512,18 @@ class WorkerPool:
         self._handles.append(handle)
         return handle
 
-    def _ensure_workers(self, wanted: int) -> None:
-        self._handles = [h for h in self._handles if h.process.is_alive()]
-        while len(self._handles) < min(wanted, self.width):
-            self._spawn_worker()
-
     # --------------------------------------------------------------- batches
     def run_tasks(self, tasks: Sequence[PoolTask]) -> List[Any]:
-        """Run a batch on the persistent workers; results in task order.
+        """Run ``tasks`` on the persistent workers; results in task order.
+
+        The pool lock is held only to claim idle workers and to update
+        shared handle state; the claimed workers are driven outside it, so
+        concurrent submitters run side by side.  A one-task call takes an
+        idle worker that holds its ``cache_key`` if there is one, else any
+        idle worker — it never waits for a busy owner.  A batch claims
+        every idle worker it can use, and its tasks are stolen only among
+        them.  With no worker idle and the pool at full width, a call waits
+        until one comes back.
 
         Worker exceptions propagate unchanged (first task order wins when
         several fail); a task that crashes its worker is retried once on a
@@ -483,15 +532,44 @@ class WorkerPool:
         tasks = list(tasks)
         if not tasks:
             return []
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            self._ensure_workers(len(tasks))
-            if not self._handles:
-                raise PoolUnavailableError("no pool workers could be spawned")
-            return self._drive(tasks)
+        workers = self._claim(tasks)
+        try:
+            return self._drive(tasks, workers)
+        finally:
+            with self._changed:
+                for handle in workers:
+                    handle.claimed = False
+                    # A call cut short leaves nothing queued; a late reply to
+                    # its in-flight task carries a stale id and is dropped.
+                    handle.queue.clear()
+                    handle.inflight = None
+                self._changed.notify_all()
 
-    def _drive(self, tasks: List[PoolTask]) -> List[Any]:
+    def _claim(self, tasks: List[PoolTask]) -> List[_WorkerHandle]:
+        """Claim idle workers for ``tasks``, forking up to the width first."""
+        key = tasks[0].cache_key if len(tasks) == 1 else None
+        with self._changed:
+            while True:
+                if self._closed:
+                    raise RuntimeError("WorkerPool is closed")
+                if not self._quiescing:
+                    self._handles = [
+                        h for h in self._handles if h.claimed or h.process.is_alive()
+                    ]
+                    idle = [h for h in self._handles if not h.claimed]
+                    while len(idle) < len(tasks) and len(self._handles) < self.width:
+                        idle.append(self._spawn_worker())
+                    if idle:
+                        # Owners of the one task's key first (a stable sort).
+                        idle.sort(key=lambda h: key is None or key not in h.cache_keys)
+                        workers = idle[: len(tasks)]
+                        for handle in workers:
+                            handle.claimed = True
+                        return workers
+                self._changed.wait()
+
+    def _drive(self, tasks: List[PoolTask], workers: List[_WorkerHandle]) -> List[Any]:
+        """The dispatch loop over this call's claimed ``workers``."""
         from multiprocessing.connection import wait as connection_wait
 
         env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
@@ -503,21 +581,11 @@ class WorkerPool:
 
         # Initial placement: fingerprint affinity first, then least loaded.
         for task in tasks:
-            owner = None
-            if task.cache_key is not None:
-                owners = [h for h in self._handles if task.cache_key in h.cache_keys]
-                if owners:
-                    owner = min(owners, key=lambda h: h.load)
-            if owner is None:
-                owner = min(self._handles, key=lambda h: h.load)
-            owner.queue.append(task)
+            owners = [h for h in workers if task.cache_key in h.cache_keys]
+            min(owners or workers, key=lambda h: h.load).queue.append(task)
 
         def requeue(task: PoolTask) -> None:
-            live = [h for h in self._handles if h.process.is_alive()]
-            target = min(live, key=lambda h: h.load) if live else None
-            if target is None:
-                target = self._spawn_worker()
-            target.queue.appendleft(task)
+            min(workers, key=lambda h: h.load).queue.appendleft(task)
 
         def fail(task: PoolTask, error: BaseException) -> None:
             nonlocal done
@@ -532,14 +600,18 @@ class WorkerPool:
             except OSError:  # pragma: no cover - defensive
                 pass
             handle.process.join(timeout=1.0)
-            if handle in self._handles:
-                self._handles.remove(handle)
             task = handle.inflight
             handle.inflight = None
             pending = list(handle.queue)
             handle.queue.clear()
-            if not self._handles and (task or pending or done < len(tasks)):
-                self._spawn_worker()
+            with self._changed:
+                if handle in self._handles:
+                    self._handles.remove(handle)
+                workers.remove(handle)
+                if not workers and done < len(tasks):
+                    spare = self._spawn_worker()
+                    spare.claimed = True
+                    workers.append(spare)
             for queued in pending:
                 requeue(queued)
             if task is None:
@@ -562,14 +634,16 @@ class WorkerPool:
                 heavy = task.heavy()
                 if heavy:
                     trace = heavy.get("trace")
-                    if trace is not None:
-                        self.traces_shipped += 1
-                        self.trace_bytes_shipped += len(pickle.dumps(trace))
-                    if heavy.get("trace_ref") is not None:
-                        self.trace_refs_shipped += 1
-            task_id = task_ids[id(task)]
+                    trace_bytes = len(pickle.dumps(trace)) if trace is not None else 0
+                    with self._changed:
+                        if trace is not None:
+                            self.traces_shipped += 1
+                            self.trace_bytes_shipped += trace_bytes
+                        if heavy.get("trace_ref") is not None:
+                            self.trace_refs_shipped += 1
+            wire_id = next(self._wire_ids)
             try:
-                handle.conn.send(("task", task_id, task.fn, heavy, task.args, env))
+                handle.conn.send(("task", wire_id, task.fn, heavy, task.args, env))
             except pickle.PicklingError as exc:
                 fail(task, exc)
                 return True
@@ -578,20 +652,20 @@ class WorkerPool:
                 on_crash(handle)
                 return False
             handle.inflight = task
-            handle.inflight_id = task_id
+            handle.inflight_id = wire_id
             return True
 
         while done < len(tasks):
             # Idle workers drain their own queues first, so a task placed by
             # affinity runs on the worker that holds its trace; only then do
             # workers still idle steal from the longest sibling queue.
-            for handle in list(self._handles):
+            for handle in list(workers):
                 while handle.inflight is None and handle.queue:
                     if not dispatch(handle, handle.queue.popleft()):
                         break
-            for handle in list(self._handles):
+            for handle in list(workers):
                 while handle.inflight is None:
-                    victims = [h for h in self._handles if h.queue]
+                    victims = [h for h in workers if h.queue]
                     if not victims:
                         break
                     task = max(victims, key=lambda h: len(h.queue)).queue.pop()
@@ -599,16 +673,16 @@ class WorkerPool:
                         break
             if done >= len(tasks):
                 break
-            busy = [h for h in self._handles if h.inflight is not None]
+            busy = [h for h in workers if h.inflight is not None]
             if not busy:
                 # Queues drained into failures only; nothing left in flight.
-                if any(h.queue for h in self._handles):
+                if any(h.queue for h in workers):
                     continue
                 break
             ready = connection_wait(
                 [h.conn for h in busy], timeout=_HEARTBEAT_SECONDS
             )
-            for handle in list(busy):
+            for handle in busy:
                 if handle.conn in ready:
                     try:
                         message = handle.conn.recv()
@@ -616,15 +690,17 @@ class WorkerPool:
                         on_crash(handle)
                         continue
                     kind = message[0]
-                    if kind == "pong":  # stale heartbeat reply
-                        continue
+                    if kind == "pong" or message[1] not in (handle.inflight_id, -1):
+                        continue  # a stale reply (ping, or a call cut short)
                     task = handle.inflight
                     handle.inflight = None
                     handle.tasks_done += 1
                     if kind == "result":
                         _k, _tid, value, gained = message
                         results[task_ids[id(task)]] = value
-                        handle.cache_keys.update(gained)
+                        if gained:
+                            with self._changed:
+                                handle.cache_keys.update(gained)
                         done += 1
                     else:
                         fail(task, message[2])

@@ -22,14 +22,18 @@ Every submission maps to a replaying, non-publishing
 notes): a cold key records the workload's union-mask trace once into the
 shared store, every later (or coalesced concurrent) request replays it.
 
-With a disk store, a cold key records on the session pipeline's worker
-pool (:meth:`~repro.engine.pipeline.AnalysisPipeline.record_on_pool`): a
-worker runs the guest, digests and encodes the trace into a temp segment
-in the store root, and the daemon only publishes it — so warm replays keep
-the daemon's GIL while a recording runs.  The first worker forks in
-``ServeDaemon.__init__``, before any executor or HTTP thread exists.
-Without ``fork``, or with an in-memory store or a pool width of 1, cold
-keys record in process.  ``/v1/stats`` reports the pool under ``pool``.
+With a disk store, analyses leave the daemon for the session pipeline's
+worker pool.  A cold key records there
+(:meth:`~repro.engine.pipeline.AnalysisPipeline.record_on_pool`): a worker
+runs the guest, digests and encodes the trace into a temp segment in the
+store root, and the daemon only publishes it.  A warm request replays there
+(:meth:`~repro.engine.pipeline.AnalysisPipeline.replay_on_pool`): a worker
+attaches the stored segment once and returns the finished result, so the
+daemon only dispatches the request and wraps the envelope, and concurrent
+requests use as many cores as the pool has workers.  The whole pool forks
+in ``ServeDaemon.__init__``, before any executor or HTTP thread exists.
+Without ``fork``, or with an in-memory store or a pool width of 1, both
+run in process.  ``/v1/stats`` reports the pool under ``pool``.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class ServeDaemon:
             DiskTraceStore(store_dir) if store_dir is not None else TraceStore()
         )
         self.session = AnalysisSession(trace_store=self.store, default_tier=default_tier)
-        # Fork the recording worker while this is still the only thread.
+        # Fork the pool while this is still the only thread.
         self.session.pipeline.start_pool()
         self.executor = SingleFlightExecutor(workers=workers, queue_depth=queue_depth)
         self.request_log = request_log

@@ -268,7 +268,9 @@ analyze = pipeline._analyze_in_worker
 def probed(payload):
     if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
         print("fan-out worker kept the CLI SIGTERM handler", file=sys.stderr)
-    print(f"probe {os.getpid()}", flush=True)
+    # One write per line: two workers share this pipe, and print() writes
+    # the text and the newline separately, so lines could interleave.
+    os.write(1, f"probe {os.getpid()}\\n".encode())
     return analyze(payload)
 
 pipeline._analyze_in_worker = probed

@@ -26,7 +26,7 @@ import pytest
 
 import repro.engine.pipeline as pipeline_module
 from repro.api import AnalysisSession, RunSpec
-from repro.api.spec import ALL_TRACERS
+from repro.api.spec import ALL_TRACERS, UnknownFocusLineError
 from repro.engine.cache import TraceStore, workload_fingerprint
 from repro.engine.workerpool import PoolUnavailableError
 from repro.jsvm.hooks import Trace
@@ -505,7 +505,7 @@ class TestPoolRecording:
         body = {"script": script_payload("pool", "serve-pool"), "modes": ["lightweight"]}
         local = self.local_recording(tmp_path / "local", body)
         with serving(store_dir=str(tmp_path / "pool")) as running:
-            assert running.stats()["pool"]["workers_alive"] == 1  # forked up front
+            assert running.stats()["pool"]["workers_alive"] == 2  # the width, up front
             served = client_for(running).analyze(**body)
             stats = running.stats()
         assert stats["recordings"] == 1
@@ -535,6 +535,7 @@ class TestPoolRecording:
             "workers_alive": 0,
             "recordings": 0,
             "in_process_fallbacks": 1,
+            "replays": 0,
         }
         assert encode_json(served["result"]) == encode_json(expected.to_dict())
 
@@ -596,6 +597,124 @@ class TestPoolRecording:
         assert len(list(tmp_path.glob("*.tmp"))) == 2
         DiskTraceStore(tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _crash_replay(context, heavy, ref, spec):
+    """Stand-in pool replay task: kill the worker on every attempt."""
+    os._exit(13)
+
+
+#: The mode sets the benchmark's warm traffic draws from.
+REPLAY_MODE_SETS = [
+    ["lightweight"],
+    ["loop_profile"],
+    ["gecko"],
+    ["dependence"],
+    ["lightweight", "dependence"],
+]
+
+
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="the pool replay path requires the fork start method",
+)
+class TestPoolReplay:
+    """With a disk store, a warm request replays on a pool worker; the
+    daemon only dispatches it and wraps the envelope."""
+
+    APPS = ["MyScript", "Harmony"]
+
+    @staticmethod
+    def serve_all(store_dir, width, monkeypatch):
+        """Record each app cold, then request every mode set warm.
+
+        Returns the warm ``result`` bytes by (app, modes) and the stats
+        before and after the warm requests.
+        """
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", str(width))
+        with serving(store_dir=str(store_dir)) as running:
+            client = client_for(running)
+            for app in TestPoolReplay.APPS:
+                assert client.analyze(workload=app)["server"]["cache"] == "cold"
+            before = running.stats()
+            served = {}
+            for app in TestPoolReplay.APPS:
+                for modes in REPLAY_MODE_SETS:
+                    envelope = client.analyze(workload=app, modes=modes)
+                    assert envelope["server"]["cache"] == "warm"
+                    assert "pool" not in envelope["result"]
+                    served[app, tuple(modes)] = encode_json(envelope["result"])
+            after = running.stats()
+        return served, before, after
+
+    def test_pool_replays_match_an_in_process_daemon(self, tmp_path, monkeypatch):
+        local, _before, local_after = self.serve_all(tmp_path / "local", 1, monkeypatch)
+        assert local_after["pool"]["replays"] == 0
+        pooled, before, after = self.serve_all(tmp_path / "pool", 2, monkeypatch)
+        assert pooled == local
+        requests = len(self.APPS) * len(REPLAY_MODE_SETS)
+        assert after["recordings"] == before["recordings"] == len(self.APPS)
+        assert after["pool"]["replays"] - before["pool"]["replays"] == requests
+        assert after["pool"]["workers_alive"] == 2
+        # One store hit per warm request, served without the daemon ever
+        # opening a segment.
+        assert after["store"]["hits"] - before["store"]["hits"] == requests
+        assert after["store"]["misses"] == before["store"]["misses"]
+        assert after["store"]["disk_hits"] == 0
+
+    def test_segment_corrupted_after_publish_is_a_clean_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "2")
+        with serving(store_dir=str(tmp_path)) as running:
+            client = client_for(running)
+            cold = client.analyze(workload="MyScript")
+            (segment,) = tmp_path.glob("*.trace.bin")
+            # Damage the published file in place: the daemon's own mapping
+            # of it sees the damage too.
+            with open(segment, "r+b") as handle:
+                handle.seek(segment.stat().st_size // 2)
+                byte = handle.read(1)
+                handle.seek(-1, os.SEEK_CUR)
+                handle.write(bytes([byte[0] ^ 0xFF]))
+            before = running.stats()
+            warm = client.analyze(workload="MyScript")
+            after = running.stats()
+        assert encode_json(warm["result"]) == encode_json(cold["result"])
+        assert after["store"]["corrupt_segments"] == 1
+        assert after["recordings"] == before["recordings"] + 1
+        assert after["pool"]["replays"] == before["pool"]["replays"]
+
+    def test_unknown_focus_line_fails_as_in_process(self, tmp_path, monkeypatch, baseline):
+        """The worker's error crosses the pipe as the same exception."""
+        body = {"workload": "MyScript", "modes": ["dependence"], "focus_line": 99999}
+        request = parse_submit(body)
+        with pytest.raises(UnknownFocusLineError) as local:
+            baseline.run(request.resolve_workload(), request.spec())
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "2")
+        with serving(store_dir=str(tmp_path)) as running:
+            client = client_for(running)
+            client.analyze(workload="MyScript")  # records: the key is warm
+            with pytest.raises(ServeError) as served:
+                client.analyze(**body)
+        assert served.value.status == 500
+        assert str(served.value) == f"UnknownFocusLineError: {local.value}"
+
+    def test_replay_that_crashes_its_worker_fails_the_request(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "2")
+        monkeypatch.setattr(pipeline_module, "_replay_task", _crash_replay)
+        with serving(store_dir=str(tmp_path)) as running:
+            client = client_for(running)
+            client.analyze(workload="MyScript")  # records on the pool
+            before = running.stats()
+            with pytest.raises(ServeError) as excinfo:
+                client.analyze(workload="MyScript", modes=["loop_profile"])
+            after = running.stats()
+            assert client.health()["status"] == "ok"
+        assert excinfo.value.status == 500 and excinfo.value.code == "internal"
+        assert "WorkerCrashError" in str(excinfo.value)
+        # Never re-run in the daemon: no replay served, nothing recorded.
+        assert after["recordings"] == before["recordings"]
+        assert after["pool"]["replays"] == 0
+        assert after["store"]["hits"] == before["store"]["hits"]
 
 
 class TestBatchStreaming:

@@ -612,9 +612,11 @@ class TestRealTraceRoundTrip:
         assert first.provenance.startswith("replay:")
 
         # A brand-new session over the same directory replays from disk:
-        # zero guest executions, byte-identical envelope.
+        # zero guest executions, byte-identical envelope.  Width 1 keeps
+        # the replay in this process (wider, a pool worker opens the
+        # segment; TestPoolReplay in test_serve.py covers that path).
         store = DiskTraceStore(tmp_path / "store")
-        with AnalysisSession(trace_store=store) as session:
+        with AnalysisSession(trace_store=store, workers=1) as session:
             second = session.run("MyScript", spec)
         assert store.puts == 0
         assert store.disk_hits == 1

@@ -2,13 +2,15 @@
 
 Lifecycle coverage: worker crash mid-task → reassignment, poisoned task →
 structured error, double ``close()`` idempotence, pool survives an analysis
-error without leaking processes — plus the pipeline integration (pooled
+error without leaking processes; concurrent submitters run at once on
+distinct workers — plus the pipeline integration (pooled
 fan-out byte-identical to serial; workers keep the traces they record, the
 parent fetches one on demand, and a second batch performs zero guest
 executions).
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -62,6 +64,20 @@ def _task_crash_once(context, heavy, sentinel_path):
 
 def _task_always_crash(context, heavy):
     os._exit(13)
+
+def _task_rendezvous(context, heavy, directory, me, other):
+    """Mark ``me`` in ``directory``, then wait (30 s at most) for ``other``.
+
+    Two such tasks finish only if they run at the same time.
+    """
+    with open(os.path.join(directory, me), "w", encoding="utf-8"):
+        pass
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(os.path.join(directory, other)):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"task {me!r} waited 30 s for {other!r}")
+        time.sleep(0.01)
+    return (me, os.getpid())
 
 
 def _wait_dead(pids, timeout=5.0):
@@ -175,6 +191,105 @@ class TestWorkerPoolLifecycle:
         assert results[0] == 42
         assert isinstance(results[1], RuntimeError)
         assert isinstance(results[2], WorkerCrashError)
+
+
+def _in_threads(**calls):
+    """Run each named zero-argument call on its own thread; name → value.
+
+    A call that raises maps to its exception; the join is bounded, so a
+    pool that serialized the calls fails by a task's timeout, not a hang.
+    """
+    out = {}
+
+    def run(name, call):
+        try:
+            out[name] = call()
+        except Exception as exc:  # noqa: BLE001 - asserted by the caller
+            out[name] = exc
+
+    threads = [threading.Thread(target=run, args=item) for item in calls.items()]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=90)
+        assert not thread.is_alive()
+    return out
+
+
+class TestConcurrentSubmitters:
+    def test_two_one_task_calls_run_at_once_on_two_workers(self, tmp_path):
+        directory = str(tmp_path)
+        with WorkerPool(width=2) as pool:
+            pool.start()
+
+            def one(me, other):
+                task = PoolTask(fn=_task_rendezvous, args=(directory, me, other))
+                return lambda: pool.run_tasks([task])
+
+            out = _in_threads(a=one("a", "b"), b=one("b", "a"))
+            assert not any(isinstance(value, Exception) for value in out.values()), out
+            assert out["a"][0][0] == "a" and out["b"][0][0] == "b"
+            pids = {out["a"][0][1], out["b"][0][1]}
+            assert len(pids) == 2
+            # start() forked the full width; no call needed a third worker.
+            assert pids == set(pool.worker_pids())
+
+    def test_batch_and_one_task_call_at_once_keep_task_order(self, tmp_path):
+        directory = str(tmp_path)
+        with WorkerPool(width=2) as pool:
+            pool.start()
+            # The lone task finishes only once the batch has started, so
+            # the two calls overlap; the batch runs on the other worker.
+            lone = [PoolTask(fn=_task_rendezvous, args=(directory, "lone", "batch"))]
+            batch = [PoolTask(fn=_task_rendezvous, args=(directory, "batch", "lone"))]
+            batch += [PoolTask(fn=_task_echo, args=(i,)) for i in range(1, 5)]
+
+            def later_batch():
+                deadline = time.monotonic() + 30.0
+                while not os.path.exists(os.path.join(directory, "lone")):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                return pool.run_tasks(batch)
+
+            out = _in_threads(lone=lambda: pool.run_tasks(lone), batch=later_batch)
+            assert not any(isinstance(value, Exception) for value in out.values()), out
+            assert out["lone"][0][0] == "lone"
+            assert [value for value, _pid in out["batch"]] == ["batch", 1, 2, 3, 4]
+            assert out["batch"][0][1] != out["lone"][0][1]
+            # Both calls released their workers: the next call runs at once.
+            assert pool.run_tasks([PoolTask(fn=_task_echo, args=(9,))])[0][0] == 9
+
+    def test_many_submitters_each_get_their_own_results(self):
+        """Six threads (more than cores) share a two-wide pool under a short
+        switch interval; a reply handed to the wrong call, or a claim
+        lost, breaks the per-call values or leaves a worker claimed."""
+        import sys
+
+        with WorkerPool(width=2) as pool:
+            pool.start()
+            pids = set(pool.worker_pids())
+
+            def submitter(slot):
+                def calls():
+                    seen = []
+                    for round_ in range(8):
+                        size = 1 + (slot + round_) % 3
+                        values = [(slot, round_, i) for i in range(size)]
+                        tasks = [PoolTask(fn=_task_echo, args=(v,)) for v in values]
+                        seen.append([v for v, _pid in pool.run_tasks(tasks)] == values)
+                    return seen
+
+                return calls
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                out = _in_threads(**{f"s{slot}": submitter(slot) for slot in range(6)})
+            finally:
+                sys.setswitchinterval(interval)
+            assert all(value == [True] * 8 for value in out.values()), out
+            assert set(pool.worker_pids()) == pids
+            assert not any(handle.claimed for handle in pool._handles)
 
 
 def _forbid_recording(monkeypatch):
@@ -344,14 +459,15 @@ class TestPipelineOnPool:
         pipeline = AnalysisPipeline(workers=2, trace_store=store)
         with AnalysisSession(pipeline=pipeline) as session:
             pipeline.start_pool()
-            _forbid_recording(monkeypatch)  # the worker forked before this
+            _forbid_recording(monkeypatch)  # the workers forked before this
             workload = tiny_workloads[0]
             trace = session.record_trace(workload)
             assert store.puts == 1 and store.segment_count() == 1
             assert pipeline.pool_stats() == {
-                "workers_alive": 1,
+                "workers_alive": 2,  # start_pool forks the pool's width
                 "recordings": 1,
                 "in_process_fallbacks": 0,
+                "replays": 0,
             }
             assert all(not keys for keys in pipeline._pool.holdings().values())
             # Stored now: a second call neither records nor reaches the pool.
