@@ -1,6 +1,9 @@
 """One command-line front door: ``python -m repro <subcommand>``.
 
-Subcommands (all running through one :class:`~repro.api.session.AnalysisSession`):
+Subcommands (those that run analyses share one
+:class:`~repro.api.session.AnalysisSession`; each subparser declares
+``needs_session``, and ``list``, ``trace info``, ``serve`` and ``submit``
+never build one, so they import no analysis code they do not run):
 
 * ``list`` — available experiments (``--workloads`` for workload names);
 * ``run <id ...>`` — run experiments by id (``--json`` for a JSON envelope);
@@ -310,8 +313,7 @@ def _cmd_trace(session, args) -> int:
 
 
 def _cmd_serve(session, args) -> int:
-    """``serve``: the analysis-as-a-service daemon (blocks until interrupted)."""
-    del session  # the daemon owns its own session, wired to the disk store
+    """``serve``: the analysis-as-a-service daemon, with its own session (blocks)."""
     from .serve.server import run_daemon
 
     return run_daemon(
@@ -328,7 +330,6 @@ def _cmd_serve(session, args) -> int:
 
 def _cmd_submit(session, args) -> int:
     """``submit``: send workloads (or a script file) to a running daemon."""
-    del session  # pure client; nothing runs in this process
     from .serve.client import ServeClient, ServeError
 
     modes = args.modes.split(",") if args.modes else ["lightweight"]
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = subparsers.add_parser("list", help="list experiments (or --workloads)")
     p_list.add_argument("--workloads", action="store_true", help="list workload names instead")
     p_list.add_argument("--json", action="store_true", help="machine-readable output")
-    p_list.set_defaults(func=_cmd_list)
+    p_list.set_defaults(func=_cmd_list, needs_session=False)
 
     p_run = subparsers.add_parser(
         "run", help="run experiments by id (or workloads with --speculate)"
@@ -450,12 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also replay chunks in forked OS processes for wall-clock numbers",
     )
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, needs_session=True)
 
     p_experiments = subparsers.add_parser(
         "experiments", help="run every experiment (the full reproduction)"
     )
-    p_experiments.set_defaults(func=_cmd_experiments)
+    p_experiments.set_defaults(func=_cmd_experiments, needs_session=True)
 
     p_report = subparsers.add_parser(
         "report", help="case-study report: Tables 2-3 + Amdahl bounds"
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--workloads", nargs="*", default=None, help="restrict the batch to these workloads"
     )
-    p_report.set_defaults(func=_cmd_report)
+    p_report.set_defaults(func=_cmd_report, needs_session=True)
 
     p_trace = subparsers.add_parser(
         "trace", help="record-once / replay-many event traces"
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
             "REPRO_TRACE_CHUNK_EVENTS or 65536)"
         ),
     )
-    p_trace_record.set_defaults(func=_cmd_trace)
+    p_trace_record.set_defaults(func=_cmd_trace, needs_session=True)
 
     p_trace_replay = trace_sub.add_parser(
         "replay", help="replay analyses from a trace file (no guest execution)"
@@ -510,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--focus-line", type=int, default=None, help="dependence focus line"
     )
     p_trace_replay.add_argument("--json", action="store_true", help="JSON envelope")
-    p_trace_replay.set_defaults(func=_cmd_trace)
+    p_trace_replay.set_defaults(func=_cmd_trace, needs_session=True)
 
     p_trace_info = trace_sub.add_parser("info", help="inspect a trace file")
     p_trace_info.add_argument(
         "file", nargs="?", default=None, help="trace file written by `trace record`"
     )
     p_trace_info.add_argument("--json", action="store_true", help="machine-readable output")
-    p_trace_info.set_defaults(func=_cmd_trace)
+    p_trace_info.set_defaults(func=_cmd_trace, needs_session=False)
 
     p_serve = subparsers.add_parser(
         "serve", help="analysis-as-a-service daemon (HTTP+JSON, shared trace store)"
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--request-log", action="store_true", help="log every HTTP request to stderr"
     )
-    p_serve.set_defaults(func=_cmd_serve)
+    p_serve.set_defaults(func=_cmd_serve, needs_session=False)
 
     p_submit = subparsers.add_parser(
         "submit", help="submit workloads (or a script) to a running serve daemon"
@@ -588,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry 429 responses this many times, honouring Retry-After",
     )
     p_submit.add_argument("--json", action="store_true", help="print response envelopes as JSON")
-    p_submit.set_defaults(func=_cmd_submit)
+    p_submit.set_defaults(func=_cmd_submit, needs_session=False)
 
     return parser
 
@@ -619,10 +620,12 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    from .api.session import AnalysisSession
-
     restore_sigterm = _install_sigterm_handler()
     try:
+        if not args.needs_session:
+            return args.func(None, args)
+        from .api.session import AnalysisSession
+
         with AnalysisSession(default_tier=getattr(args, "tier", None)) as session:
             return args.func(session, args)
     except KeyboardInterrupt:

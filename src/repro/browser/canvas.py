@@ -6,8 +6,8 @@ pixel buffers or issue large numbers of drawing commands.  The paper flags
 Canvas interaction as a potential bottleneck (Figure 2) and as a
 parallelization obstacle (non-concurrent Canvas, Section 4.1).
 
-The simulation keeps a real pixel buffer (numpy ``uint8`` array) so image
-workloads compute meaningful results, records every drawing command in a
+The simulation keeps a real pixel buffer (a row-major RGBA ``bytearray``) so
+image workloads compute meaningful results, records every drawing command in a
 command log, and reports all guest interaction through
 ``interp.notify_host_access("canvas", ...)`` so the analysis layer can
 attribute Canvas traffic to loop nests.
@@ -16,9 +16,7 @@ attribute Canvas traffic to loop nests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List
-
-import numpy as np
+from typing import Any, List, NamedTuple
 
 from ..jsvm.values import UNDEFINED, JSArray, JSObject, NativeFunction, to_number, to_string
 from .dom import Document, DOMElement
@@ -46,15 +44,26 @@ class CanvasLog:
         return len(self.commands)
 
 
+class Pixels(NamedTuple):
+    """A ``width`` × ``height`` block of RGBA bytes, row-major."""
+
+    width: int
+    height: int
+    data: bytearray
+
+
+def _blank(width: int, height: int, alpha: int = 0) -> bytearray:
+    if width < 0 or height < 0:
+        raise ValueError("negative dimensions are not allowed")
+    return bytearray((0, 0, 0, alpha)) * (width * height)
+
+
 class HostCanvas:
     """Host-side pixel buffer shared by a canvas element and its 2D context."""
 
     def __init__(self, width: int = 300, height: int = 150, clock=None) -> None:
-        self.width = int(width)
-        self.height = int(height)
         self.clock = clock
-        self.buffer = np.zeros((self.height, self.width, 4), dtype=np.uint8)
-        self.buffer[:, :, 3] = 255
+        self.resize(width, height)
         self.log = CanvasLog()
 
     def _now(self) -> float:
@@ -65,14 +74,29 @@ class HostCanvas:
 
     def resize(self, width: int, height: int) -> None:
         self.width, self.height = int(width), int(height)
-        self.buffer = np.zeros((self.height, self.width, 4), dtype=np.uint8)
-        self.buffer[:, :, 3] = 255
+        self.buffer = _blank(self.width, self.height, alpha=255)
+
+    def pixel(self, x: int, y: int) -> tuple:
+        """The ``(r, g, b, a)`` bytes at column ``x`` of row ``y``."""
+        offset = (y * self.width + x) * 4
+        return tuple(self.buffer[offset : offset + 4])
+
+    def _write_rows(self, x0: int, y0: int, rows) -> None:
+        """Copy byte rows into the buffer, the first at ``(x0, y0)``."""
+        for y, row in enumerate(rows, y0):
+            offset = (y * self.width + x0) * 4
+            self.buffer[offset : offset + len(row)] = row
 
     def fill_rect(self, x: float, y: float, w: float, h: float, rgba=(0, 0, 0, 255)) -> None:
         x0, y0 = max(int(x), 0), max(int(y), 0)
         x1, y1 = min(int(x + w), self.width), min(int(y + h), self.height)
         if x1 > x0 and y1 > y0:
-            self.buffer[y0:y1, x0:x1] = rgba
+            if len(rgba) != 4:
+                raise ValueError(f"could not broadcast {len(rgba)} channels into RGBA")
+            for channel in rgba:
+                if not 0 <= channel <= 255:
+                    raise OverflowError(f"Python integer {channel} out of bounds for uint8")
+            self._write_rows(x0, y0, [bytes(rgba) * (x1 - x0)] * (y1 - y0))
             self.log.pixels_written += (x1 - x0) * (y1 - y0)
         self.record("fillRect", x, y, w, h)
 
@@ -80,19 +104,28 @@ class HostCanvas:
         self.fill_rect(x, y, w, h, rgba=(0, 0, 0, 0))
         self.record("clearRect", x, y, w, h)
 
-    def get_image_data(self, x: int, y: int, w: int, h: int) -> np.ndarray:
+    def get_image_data(self, x: int, y: int, w: int, h: int) -> Pixels:
         x0, y0 = max(int(x), 0), max(int(y), 0)
         x1, y1 = min(int(x + w), self.width), min(int(y + h), self.height)
         self.log.pixels_read += max(0, x1 - x0) * max(0, y1 - y0)
         self.record("getImageData", x, y, w, h)
-        return self.buffer[y0:y1, x0:x1].copy()
+        # Python slice semantics, so a negative end counts from the far edge.
+        columns = range(self.width)[x0:x1]
+        rows = range(self.height)[y0:y1]
+        data = bytearray()
+        for row in rows:
+            offset = row * self.width
+            data += self.buffer[(offset + columns.start) * 4 : (offset + columns.stop) * 4]
+        return Pixels(len(columns), len(rows), data)
 
-    def put_image_data(self, data: np.ndarray, x: int, y: int) -> None:
-        h, w = data.shape[:2]
+    def put_image_data(self, pixels: Pixels, x: int, y: int) -> None:
         x0, y0 = max(int(x), 0), max(int(y), 0)
-        x1, y1 = min(x0 + w, self.width), min(y0 + h, self.height)
+        x1, y1 = min(x0 + pixels.width, self.width), min(y0 + pixels.height, self.height)
         if x1 > x0 and y1 > y0:
-            self.buffer[y0:y1, x0:x1] = data[: y1 - y0, : x1 - x0]
+            stride, span = pixels.width * 4, (x1 - x0) * 4
+            self._write_rows(
+                x0, y0, [pixels.data[row * stride : row * stride + span] for row in range(y1 - y0)]
+            )
             self.log.pixels_written += (x1 - x0) * (y1 - y0)
         self.record("putImageData", x, y)
 
@@ -124,30 +157,41 @@ class CanvasElement(DOMElement):
                 self.host_canvas.resize(width, height)
 
 
-def make_image_data(interp, pixels: np.ndarray) -> JSObject:
-    """Wrap a ``(h, w, 4)`` uint8 array as a guest ImageData object."""
-    height, width = pixels.shape[:2]
+def make_image_data(interp, pixels: Pixels) -> JSObject:
+    """Wrap a :class:`Pixels` block as a guest ImageData object."""
     image_data = interp.make_object()
-    image_data.set("width", float(width))
-    image_data.set("height", float(height))
-    flat = pixels.astype(np.float64).reshape(-1)
-    data = interp.make_array(list(flat))
-    image_data.set("data", data)
+    image_data.set("width", float(pixels.width))
+    image_data.set("height", float(pixels.height))
+    image_data.set("data", interp.make_array(list(map(float, pixels.data))))
     image_data.extra["is_image_data"] = True
     return image_data
 
 
-def image_data_to_array(image_data: JSObject) -> np.ndarray:
+def _clamped_byte(value: float) -> int:
+    """Clip to 0..255 and truncate toward zero; NaN becomes 0."""
+    if not value > 0:  # also NaN
+        return 0
+    return 255 if value >= 255 else int(value)
+
+
+def image_data_pixels(image_data: JSObject) -> Pixels:
+    """The pixels of a guest ImageData, its ``data`` clamped to bytes.
+
+    ``data`` is repeated cyclically (or zero-filled when empty) to exactly
+    ``width * height * 4`` entries, as ``putImageData`` consumes them.
+    """
     width = int(to_number(image_data.get("width")))
     height = int(to_number(image_data.get("height")))
     data = image_data.get("data")
-    if not isinstance(data, JSArray):
-        return np.zeros((height, width, 4), dtype=np.uint8)
-    values = np.asarray([to_number(v) for v in data.elements], dtype=np.float64)
-    values = np.clip(values, 0, 255).astype(np.uint8)
-    if values.size != width * height * 4:
-        values = np.resize(values, width * height * 4)
-    return values.reshape((height, width, 4))
+    values = bytearray()
+    if isinstance(data, JSArray):
+        values = bytearray(_clamped_byte(to_number(v)) for v in data.elements)
+    blank = _blank(width, height)
+    if not values:
+        return Pixels(width, height, blank)
+    if len(values) != len(blank):
+        values = (values * (len(blank) // len(values) + 1))[: len(blank)]
+    return Pixels(width, height, values)
 
 
 def make_context2d(interp, canvas: CanvasElement) -> JSObject:
@@ -217,9 +261,8 @@ def make_context2d(interp, canvas: CanvasElement) -> JSObject:
     def put_image_data(interpreter, this, args):
         interpreter.notify_host_access("canvas", "putImageData")
         if args and isinstance(args[0], JSObject):
-            pixels = image_data_to_array(args[0])
             host.put_image_data(
-                pixels,
+                image_data_pixels(args[0]),
                 int(to_number(args[1])) if len(args) > 1 else 0,
                 int(to_number(args[2])) if len(args) > 2 else 0,
             )
@@ -229,7 +272,7 @@ def make_context2d(interp, canvas: CanvasElement) -> JSObject:
         interpreter.notify_host_access("canvas", "createImageData")
         width = int(to_number(args[0])) if len(args) > 0 else host.width
         height = int(to_number(args[1])) if len(args) > 1 else host.height
-        return make_image_data(interpreter, np.zeros((height, width, 4), dtype=np.uint8))
+        return make_image_data(interpreter, Pixels(width, height, _blank(width, height)))
 
     ctx.set("fillRect", NativeFunction("fillRect", fill_rect))
     ctx.set("clearRect", NativeFunction("clearRect", clear_rect))

@@ -6,7 +6,6 @@ shared fallback session remains available via :func:`default_session`).
 """
 
 from .registry import (
-    CaseStudyResults,
     Experiment,
     build_registry,
     default_session,
@@ -15,7 +14,6 @@ from .registry import (
 )
 
 __all__ = [
-    "CaseStudyResults",
     "Experiment",
     "build_registry",
     "default_session",

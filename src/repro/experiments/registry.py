@@ -9,6 +9,10 @@ process-wide default session is created lazily behind a lock.
 
 The seed-era ``run_case_study`` shim was removed after its two-PR
 compatibility window (use :meth:`repro.api.AnalysisSession.case_study`).
+
+Building the registry imports nothing beyond this module: each runner
+imports what it runs, and the session is resolved only when a
+session-bound experiment runs, so ``python -m repro list`` stays cheap.
 """
 
 from __future__ import annotations
@@ -16,18 +20,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict
-
-from ..ceres.report import render_summary_table
-from ..engine.pipeline import PipelineResult as CaseStudyResults
-from ..parallel import model_application_speedup
-from ..survey import (
-    figure1_data,
-    figure2_data,
-    figure3_data,
-    figure4_data,
-    generate_population,
-    render_figure,
-)
 
 #: Process-wide fallback session for callers that do not manage their own
 #: (``build_registry()`` with no argument).  Creation is guarded by a lock:
@@ -69,15 +61,18 @@ class Experiment:
         return self.runner()
 
 
-def _figure_runner(builder) -> Callable[[], str]:
+def _figure_runner(builder_name: str) -> Callable[[], str]:
     def run() -> str:
-        population = generate_population()
-        return render_figure(builder(population))
+        from .. import survey
+
+        builder = getattr(survey, builder_name)
+        return survey.render_figure(builder(survey.generate_population()))
 
     return run
 
 
 def _table1_runner() -> str:
+    from ..ceres.report import render_summary_table
     from ..workloads import table1
 
     return render_summary_table(table1(), ["Name/URL", "Category/Description"], title="Table 1. Case study - web applications")
@@ -106,6 +101,9 @@ def _amdahl_runner(session) -> str:
 
 
 def _parallel_validation_runner(session) -> str:
+    from ..ceres.report import render_summary_table
+    from ..parallel import model_application_speedup
+
     results = session.case_study()
     rows = [model_application_speedup(analysis).as_row() for analysis in results.analyses]
     return render_summary_table(
@@ -125,6 +123,7 @@ def _nbody_runner(session) -> str:
 
 def _overhead_runner(session) -> str:
     from ..api.spec import RunSpec
+    from ..ceres.report import render_summary_table
     from ..workloads import get_workload
 
     rows = []
@@ -154,44 +153,47 @@ def build_registry(session=None) -> Dict[str, Experiment]:
 
     ``session`` is the :class:`~repro.api.session.AnalysisSession` the
     case-study experiments run through; the shared fallback session is used
-    when omitted, so seed-era ``build_registry()`` callers keep working.
+    when omitted (created on the first such run, not here), so seed-era
+    ``build_registry()`` callers keep working.
     """
-    if session is None:
-        session = default_session()
+
+    def bound(runner: Callable) -> Callable[[], str]:
+        return lambda: runner(session if session is not None else default_session())
+
     return {
         "fig1-categories": Experiment(
             "fig1-categories", "Figure 1", "Future web application categories (thematic coding)",
-            _figure_runner(figure1_data)),
+            _figure_runner("figure1_data")),
         "fig2-bottlenecks": Experiment(
             "fig2-bottlenecks", "Figure 2", "Perceived performance bottlenecks",
-            _figure_runner(figure2_data)),
+            _figure_runner("figure2_data")),
         "fig3-style": Experiment(
             "fig3-style", "Figure 3", "Functional vs imperative style preference",
-            _figure_runner(figure3_data)),
+            _figure_runner("figure3_data")),
         "fig4-polymorphism": Experiment(
             "fig4-polymorphism", "Figure 4", "Monomorphic vs polymorphic variable usage",
-            _figure_runner(figure4_data)),
+            _figure_runner("figure4_data")),
         "fig6-nbody": Experiment(
             "fig6-nbody", "Figure 6 / Section 3.3", "N-body dependence-analysis walkthrough",
-            lambda: _nbody_runner(session)),
+            bound(_nbody_runner)),
         "table1-workloads": Experiment(
             "table1-workloads", "Table 1", "The twelve case-study applications",
             _table1_runner),
         "table2-runtime": Experiment(
             "table2-runtime", "Table 2", "Total / active / in-loop running time",
-            lambda: _table2_runner(session)),
+            bound(_table2_runner)),
         "table3-loopnests": Experiment(
             "table3-loopnests", "Table 3", "Detailed inspection of hot loop nests",
-            lambda: _table3_runner(session)),
+            bound(_table3_runner)),
         "amdahl-bounds": Experiment(
             "amdahl-bounds", "Section 4.2 / 5", "Amdahl speedup upper bounds and headline counts",
-            lambda: _amdahl_runner(session)),
+            bound(_amdahl_runner)),
         "parallel-validation": Experiment(
             "parallel-validation", "Section 1 / 4", "Modelled parallel execution of easy nests",
-            lambda: _parallel_validation_runner(session)),
+            bound(_parallel_validation_runner)),
         "ceres-overhead": Experiment(
             "ceres-overhead", "Sections 3.1-3.2", "Instrumentation overhead of modes 1 and 2",
-            lambda: _overhead_runner(session)),
+            bound(_overhead_runner)),
     }
 
 

@@ -9,8 +9,9 @@ than a wrapper:
 
 * :mod:`repro.serve.store` — a :class:`DiskTraceStore` with the in-memory
   :class:`~repro.engine.cache.TraceStore`'s fingerprint × mask-superset
-  contract, persisting gzip trace segments plus a JSON index so recordings
-  survive restarts and are shared across every client;
+  contract, persisting sealed binary trace segments (container 3, see
+  :mod:`repro.jsvm.tracecodec`) plus a JSON index so recordings survive
+  restarts and are shared across every client;
 * :mod:`repro.serve.dedup` — single-flight deduplication (concurrent
   identical requests coalesce onto one in-flight computation) over a bounded
   worker pool with a FIFO admission queue (overflow → HTTP 429);
@@ -20,23 +21,7 @@ than a wrapper:
   load-generator benchmark.
 
 No dependency beyond the standard library is involved anywhere in this
-package.
+package.  Import the submodules directly: the package imports none of them,
+so :mod:`repro.serve.client` stays a pure ``urllib`` client and only the
+daemon imports the analysis stack.
 """
-
-from .client import ServeClient, ServeError
-from .dedup import QueueFullError, SingleFlightExecutor
-from .protocol import PROTOCOL_VERSION, ProtocolError, SubmitRequest
-from .server import ServeDaemon
-from .store import DiskTraceStore
-
-__all__ = [
-    "PROTOCOL_VERSION",
-    "DiskTraceStore",
-    "ProtocolError",
-    "QueueFullError",
-    "ServeClient",
-    "ServeDaemon",
-    "ServeError",
-    "SingleFlightExecutor",
-    "SubmitRequest",
-]

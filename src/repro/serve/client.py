@@ -19,8 +19,6 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from .protocol import PROTOCOL_VERSION  # noqa: F401  (re-exported for callers)
-
 
 class ServeError(Exception):
     """An error response (or transport failure) from the daemon."""

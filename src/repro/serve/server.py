@@ -215,6 +215,11 @@ class _Handler(BaseHTTPRequestHandler):
     #: Hard ceiling on one analysis, queueing included.
     JOB_TIMEOUT_SECONDS = 600.0
 
+    #: Socket timeout for every read and write on a connection
+    #: (``StreamRequestHandler.timeout``): a client that stalls mid-request
+    #: is dropped instead of holding a handler thread forever.
+    timeout = 10.0
+
     @property
     def daemon(self) -> ServeDaemon:
         return self.server.serve_daemon
@@ -291,6 +296,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self._analyze_one(data)
             except ProtocolError as error:
                 self._respond_error(error)
+            except TimeoutError:
+                raise  # a stalled client: handle_one_request closes the connection
             except Exception as exc:  # pragma: no cover - defensive surface
                 self._respond_error(ProtocolError("internal", f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, ConnectionResetError):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..browser.window import BrowserSession
+if TYPE_CHECKING:  # the manifest and names stay importable without the VM
+    from ..browser.window import BrowserSession
 
 #: Survey trend categories (Figure 1) used to tag each workload.
 CATEGORY_USER_RECOGNITION = "User recognition"

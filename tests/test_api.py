@@ -211,6 +211,44 @@ class TestRegistryLaziness:
         assert completed.returncode == 0, completed.stderr
         assert "lazy" in completed.stdout
 
+    @pytest.mark.parametrize("args", [["list"], ["list", "--workloads"]])
+    def test_cli_list_imports_no_analysis_stack(self, args):
+        completed = run_in_subprocess(
+            "import runpy, sys\n"
+            f"sys.argv = ['repro', *{args!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit_:\n"
+            "    assert exit_.code == 0, exit_.code\n"
+            "heavy = [m for m in ('numpy', 'repro.jsvm', 'repro.api.session') if m in sys.modules]\n"
+            "assert not heavy, f'list imported {heavy}'\n"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "fluidSim" in completed.stdout or "table2-runtime" in completed.stdout
+
+    def test_serve_client_imports_no_session(self):
+        completed = run_in_subprocess(
+            "import sys\n"
+            "import repro.serve.client\n"
+            "assert 'repro.api.session' not in sys.modules\n"
+            "print('pure client')\n"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "pure client" in completed.stdout
+
+    def test_daemon_and_canvas_workload_never_import_numpy(self):
+        completed = run_in_subprocess(
+            "import sys\n"
+            "import repro.serve.server\n"
+            "from repro.api import AnalysisSession, RunSpec\n"
+            "with AnalysisSession() as session:\n"
+            "    session.run('CamanJS', RunSpec.uninstrumented())\n"
+            "assert 'numpy' not in sys.modules\n"
+            "print('no numpy')\n"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "no numpy" in completed.stdout
+
     def test_register_workload_plugin_hook(self):
         from repro.workloads.base import REGISTRY, Workload, register_workload
 

@@ -1,10 +1,15 @@
 """Tests for the browser substrate: DOM, Canvas, event loop, clock, profiler."""
 
-import numpy as np
 import pytest
 
 from repro.browser import BrowserSession, Document, GeckoProfiler, VirtualClock
-from repro.browser.canvas import CanvasElement, image_data_to_array, make_image_data
+from repro.browser.canvas import (
+    CanvasElement,
+    HostCanvas,
+    Pixels,
+    image_data_pixels,
+    make_image_data,
+)
 from repro.jsvm.hooks import HookBus
 
 
@@ -102,9 +107,10 @@ class TestCanvas:
         )
         canvas = session.document.get_element_by_id("c")
         assert isinstance(canvas, CanvasElement)
-        buffer = canvas.host_canvas.buffer
-        assert buffer[0, 0, 0] == 255 and buffer[0, 0, 2] == 0
-        assert buffer[12, 12, 0] == 0
+        host = canvas.host_canvas
+        assert host.pixel(0, 0) == (255, 0, 0, 255)
+        assert host.pixel(12, 12) == (0, 0, 0, 255)
+        assert len(host.buffer) == 16 * 16 * 4
 
     def test_get_and_put_image_data_round_trip(self):
         session = BrowserSession()
@@ -117,7 +123,7 @@ class TestCanvas:
             "ctx.putImageData(img, 0, 0);"
         )
         canvas = session.document.get_element_by_id("c")
-        assert canvas.host_canvas.buffer[0, 0, 0] == 250
+        assert canvas.host_canvas.pixel(0, 0) == (250, 0x20, 0x30, 255)
         assert canvas.host_canvas.log.pixels_read == 64
         assert canvas.host_canvas.log.pixels_written >= 64
 
@@ -134,18 +140,169 @@ class TestCanvas:
 
     def test_image_data_conversion_helpers(self):
         session = BrowserSession()
-        pixels = np.zeros((2, 3, 4), dtype=np.uint8)
-        pixels[0, 0] = (1, 2, 3, 4)
+        pixels = Pixels(3, 2, bytearray((1, 2, 3, 4)) + bytearray(20))
         image_data = make_image_data(session.interp, pixels)
         assert image_data.get("width") == 3.0 and image_data.get("height") == 2.0
-        back = image_data_to_array(image_data)
-        assert back.shape == (2, 3, 4) and tuple(back[0, 0]) == (1, 2, 3, 4)
+        elements = image_data.get("data").elements
+        assert all(type(value) is float for value in elements)
+        assert image_data_pixels(image_data) == pixels
 
     def test_canvas_resize_on_dimension_change(self):
         session = BrowserSession()
         canvas = session.create_canvas("c", 4, 4)
         canvas.set("width", 10.0)
         assert canvas.host_canvas.width == 10
+
+
+#: A 10x4 canvas whose byte ``i`` (row-major RGBA) holds ``(i * 7) % 256``.
+GRADIENT = (
+    "var ctx = document.getElementById('c').getContext('2d');"
+    "var base = ctx.createImageData(10, 4);"
+    "for (var i = 0; i < 160; i++) { base.data[i] = (i * 7) % 256; }"
+    "ctx.putImageData(base, 0, 0);"
+)
+
+
+def _gradient_session():
+    session = BrowserSession()
+    session.create_canvas("c", 10, 4)
+    session.run_script(GRADIENT)
+    return session
+
+
+def _read(session, expression):
+    """``(width, height, data)`` of the guest ImageData ``expression``."""
+    session.run_script(f"var out = {expression};")
+    image = session.interp.global_env.get("out")
+    values = image.get("data").elements
+    assert all(type(value) is float for value in values)
+    return image.get("width"), image.get("height"), [int(value) for value in values]
+
+
+class TestCanvasParity:
+    """Pixel semantics pinned to the values of the former numpy buffer.
+
+    Every expected value below was computed once by the numpy-backed
+    canvas (``uint8`` clip-and-cast, ``np.resize``, ndarray slicing).
+    """
+
+    @pytest.mark.parametrize(
+        "data, width, height, expected",
+        [
+            # clip to 0..255, truncate toward zero, NaN -> 0
+            ("[NaN, Infinity, -Infinity, -0.5, 255.9, 256, 3.7, 0.2]", 2, 1,
+             [0, 255, 0, 0, 255, 255, 3, 0]),
+            ("[10, 20, 30]", 2, 1, [10, 20, 30, 10, 20, 30, 10, 20]),  # cyclic fill
+            ("[1, 2, 3, 4, 5, 6]", 1, 1, [1, 2, 3, 4]),  # truncated
+            ("[]", 2, 1, [0] * 8),  # zeros when empty
+            ("5", 2, 1, [0] * 8),  # zeros when data is no array
+        ],
+        ids=["clamp", "short", "long", "empty", "not-array"],
+    )
+    def test_put_image_data_clamps_and_resizes(self, data, width, height, expected):
+        session = _gradient_session()
+        session.run_script(
+            f"var img = ctx.createImageData({width}, {height}); img.data = {data};"
+            "ctx.putImageData(img, 0, 0);"
+        )
+        assert _read(session, f"ctx.getImageData(0, 0, {width}, {height})") == (
+            float(width), float(height), expected
+        )
+
+    @pytest.mark.parametrize(
+        "rect, expected",
+        [
+            ((-1, -1, 3, 3), (2.0, 2.0, [0, 7, 14, 21, 28, 35, 42, 49,
+                                         24, 31, 38, 45, 52, 59, 66, 73])),
+            # x + w = -7 is a slice end counted from the right edge
+            ((-10, 0, 3, 2), (3.0, 2.0, [0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 77,
+                                         24, 31, 38, 45, 52, 59, 66, 73, 80, 87, 94, 101])),
+            ((0, -6, 2, 4), (2.0, 2.0, [0, 7, 14, 21, 28, 35, 42, 49,
+                                        24, 31, 38, 45, 52, 59, 66, 73])),
+            ((8, 2, 5, 5), (2.0, 2.0, [16, 23, 30, 37, 44, 51, 58, 65,
+                                       40, 47, 54, 61, 68, 75, 82, 89])),
+            ((11, 0, 2, 2), (0.0, 2.0, [])),
+            ((0, 0, 4, 0), (4.0, 0.0, [])),  # a zero-height read keeps its width
+            ((2, 1, 0, 2), (0.0, 2.0, [])),
+            ((3, 1, -2, 2), (0.0, 2.0, [])),
+        ],
+        ids=["negative-origin", "negative-end", "above", "overhang", "right-of",
+             "zero-height", "zero-width", "negative-width"],
+    )
+    def test_get_image_data_rectangles(self, rect, expected):
+        session = _gradient_session()
+        assert _read(session, "ctx.getImageData(%d, %d, %d, %d)" % rect) == expected
+
+    @pytest.mark.parametrize(
+        "at, changed, written",
+        [
+            # a negative origin clamps to 0 and writes the data unshifted
+            ((-1, -1), {(0, 0): 200, (1, 0): 204, (2, 0): 208,
+                        (0, 1): 212, (1, 1): 216, (2, 1): 220}, 6),
+            ((-3, 2), {(0, 2): 200, (1, 2): 204, (2, 2): 208,
+                       (0, 3): 212, (1, 3): 216, (2, 3): 220}, 6),
+            ((9, 3), {(9, 3): 200}, 1),
+            ((10, 0), {}, 0),
+        ],
+        ids=["negative", "negative-x", "corner", "outside"],
+    )
+    def test_put_image_data_offsets(self, at, changed, written):
+        session = _gradient_session()
+        session.run_script(
+            "var img = ctx.createImageData(3, 2);"
+            "for (var i = 0; i < 24; i++) { img.data[i] = 200 + i; }"
+            "ctx.putImageData(img, %d, %d);" % at
+        )
+        host = session.document.get_element_by_id("c").host_canvas
+        for y in range(4):
+            for x in range(10):
+                first = changed.get((x, y))
+                if first is None:
+                    first = (y * 10 + x) * 28 % 256
+                    expected = tuple((first + 7 * c) % 256 for c in range(4))
+                else:
+                    expected = tuple(range(first, first + 4))
+                assert host.pixel(x, y) == expected, (x, y)
+        assert (host.log.pixels_read, host.log.pixels_written) == (0, 40 + written)
+
+    @pytest.mark.parametrize(
+        "rgba, error",
+        [((256, 0, 0, 255), OverflowError), ((0, -1, 0, 255), OverflowError),
+         ((1, 2, 3), ValueError)],
+    )
+    def test_fill_rect_rejects_what_uint8_rejected(self, rgba, error):
+        host = HostCanvas(4, 4)
+        with pytest.raises(error):
+            host.fill_rect(0, 0, 1, 1, rgba=rgba)
+        host.fill_rect(5, 5, 1, 1, rgba=rgba)  # an empty rectangle writes nothing
+
+    def test_guest_alpha_above_one_overflows(self):
+        session = _gradient_session()
+        with pytest.raises(OverflowError):
+            session.run_script("ctx.fillStyle = 'rgba(0, 0, 0, 2)'; ctx.fillRect(0, 0, 1, 1);")
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "ctx.createImageData(-1, 2);",
+            "var img = ctx.createImageData(2, 2); img.width = -1;",
+            "var img = ctx.createImageData(2, 2); img.width = -1; img.height = -1;",
+            "var img = ctx.createImageData(2, 2); img.width = -1; img.height = -1;"
+            " img.data = [1, 2, 3, 4];",
+            "var img = ctx.createImageData(2, 2); img.width = -1; img.height = 0; img.data = [];",
+            "var img = ctx.createImageData(2, 2); img.width = 0; img.height = -1;",
+            "var img = ctx.createImageData(2, 2); img.width = -1; img.data = 3;",
+        ],
+    )
+    def test_negative_dimensions_raise_value_error(self, script):
+        session = _gradient_session()
+        with pytest.raises(ValueError):
+            session.run_script(script + " if (typeof img !== 'undefined') ctx.putImageData(img, 0, 0);")
+
+    def test_negative_canvas_size_raises_value_error(self):
+        for width, height in ((-1, 5), (-2, -2)):
+            with pytest.raises(ValueError):
+                HostCanvas(width, height)
 
 
 class TestEventLoop:

@@ -2,8 +2,8 @@
 identifiers, warnings rendering."""
 
 import math
+import statistics
 
-import numpy as np
 import pytest
 
 from repro.ceres.ids import IndexRegistry, ProgramIndex
@@ -14,15 +14,15 @@ from repro.jsvm.parser import parse
 
 
 class TestOnlineStats:
-    def test_mean_and_variance_match_numpy(self):
+    def test_mean_and_variance_match_population_statistics(self):
         data = [1.0, 4.0, 2.0, 8.0, 5.5, -3.0]
         stats = OnlineStats()
         for value in data:
             stats.push(value)
         assert stats.count == len(data)
-        assert stats.mean == pytest.approx(np.mean(data))
-        assert stats.variance == pytest.approx(np.var(data))
-        assert stats.std == pytest.approx(np.std(data))
+        assert stats.mean == pytest.approx(statistics.fmean(data))
+        assert stats.variance == pytest.approx(statistics.pvariance(data))
+        assert stats.std == pytest.approx(statistics.pstdev(data))
 
     def test_min_max_total(self):
         stats = OnlineStats()

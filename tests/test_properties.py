@@ -2,14 +2,13 @@
 
 import math
 import os
+import statistics
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-import numpy as np
 
 from repro.analysis.amdahl import amdahl_speedup, parallel_fraction_needed
 from repro.ceres.dependence import DependenceAnalyzer
@@ -27,13 +26,13 @@ from repro.survey.coding import jaccard
 
 # --------------------------------------------------------------------------- Welford
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-def test_welford_matches_numpy(data):
+def test_welford_matches_population_statistics(data):
     stats = OnlineStats()
     for value in data:
         stats.push(value)
     assert stats.count == len(data)
-    assert math.isclose(stats.mean, float(np.mean(data)), rel_tol=1e-9, abs_tol=1e-6)
-    assert math.isclose(stats.variance, float(np.var(data)), rel_tol=1e-7, abs_tol=1e-5)
+    assert math.isclose(stats.mean, statistics.fmean(data), rel_tol=1e-9, abs_tol=1e-6)
+    assert math.isclose(stats.variance, statistics.pvariance(data), rel_tol=1e-7, abs_tol=1e-5)
     assert stats.minimum == min(data) and stats.maximum == max(data)
 
 

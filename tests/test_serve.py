@@ -18,6 +18,7 @@ import contextlib
 import itertools
 import json
 import os
+import socket
 import threading
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro.engine.pipeline as pipeline_module
+import repro.serve.server as server_module
 from repro.api import AnalysisSession, RunSpec
 from repro.api.spec import ALL_TRACERS, UnknownFocusLineError
 from repro.engine.cache import TraceStore, workload_fingerprint
@@ -777,6 +779,23 @@ class TestAdmissionControl:
             finally:
                 small.shutdown()
                 thread.join(timeout=10)
+
+
+class TestSlowClient:
+    @pytest.mark.parametrize(
+        "partial",
+        [b"GET /heal", b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"wo"],
+        ids=["request-line", "body"],
+    )
+    def test_stalled_connection_is_closed_while_others_are_served(self, monkeypatch, partial):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        with serving() as running:
+            with socket.create_connection((running.host, running.port), timeout=10) as stalled:
+                stalled.sendall(partial)
+                started = time.monotonic()
+                assert client_for(running).health()["status"] == "ok"
+                assert stalled.recv(1024) == b""  # closed without a response
+                assert time.monotonic() - started < 5.0
 
 
 class TestServeCLI:
