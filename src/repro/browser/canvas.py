@@ -109,9 +109,9 @@ class HostCanvas:
         x1, y1 = min(int(x + w), self.width), min(int(y + h), self.height)
         self.log.pixels_read += max(0, x1 - x0) * max(0, y1 - y0)
         self.record("getImageData", x, y, w, h)
-        # Python slice semantics, so a negative end counts from the far edge.
-        columns = range(self.width)[x0:x1]
-        rows = range(self.height)[y0:y1]
+        # Clipped to the canvas: an end before the clamped start reads nothing.
+        columns = range(x0, max(x0, x1))
+        rows = range(y0, max(y0, y1))
         data = bytearray()
         for row in rows:
             offset = row * self.width

@@ -175,9 +175,10 @@ class TraceStore:
     (fingerprint, mask superset), replay per stage".
 
     An entry is anything :class:`~repro.jsvm.hooks.TraceReplayer` replays:
-    a resident :class:`Trace` (what :meth:`put` keeps, so a batch sweep
-    replays the trace it just recorded without encoding it) or a source at
-    rest, such as an mmap'd
+    a :class:`Trace` (what :meth:`put` keeps, so a batch sweep replays the
+    trace it just recorded without encoding it; the batch seals it after
+    its last stage, so at rest it holds deflated slices, not a tuple list)
+    or a source at rest, such as an mmap'd
     :class:`~repro.jsvm.tracecodec.BinaryTraceSource` (what :meth:`install`
     takes).  A source is never decoded here: :meth:`find` hands it out as is
     and each replay decodes only the opcode groups its tracers subscribe to.
@@ -187,8 +188,9 @@ class TraceStore:
     :meth:`_find_fallback` to resolve memory misses from elsewhere — the
     resolved entry is memorized and counted as a hit — and :meth:`put` to
     persist new recordings.  ``puts`` counts recordings entering the store
-    through :meth:`put` (memorized fallback loads are excluded), which is the
-    serving daemon's "exactly one guest execution" evidence.
+    through :meth:`put` (memorized fallback loads and traces fetched from
+    batch workers are excluded), which is the serving daemon's "exactly one
+    guest execution" evidence.
     """
 
     def __init__(self) -> None:
@@ -232,11 +234,16 @@ class TraceStore:
                 for trace in self._traces.get(fingerprint, ())
             )
 
-    def put(self, trace):
-        """Store ``trace``, dropping stored traces it strictly covers."""
+    def put(self, trace, recorded: bool = True):
+        """Store ``trace``, dropping stored traces it strictly covers.
+
+        ``recorded=False`` stores a trace recorded elsewhere and already
+        counted there (one a batch worker kept), without counting it again.
+        """
         self.install(trace)
-        with self._lock:
-            self.puts += 1
+        if recorded:
+            with self._lock:
+                self.puts += 1
         return trace
 
     def install(self, trace):

@@ -15,10 +15,11 @@ still unknown to the workers after one pool refresh).
 
 Traces stay where they are recorded.  When the parent's
 :class:`TraceStore` already holds a workload's trace, it ships to the first
-worker that needs it; otherwise the worker records it and keeps it, and only
-the analysis comes back.  :meth:`AnalysisPipeline.fetch_trace` hands a
-worker-held trace to the parent on demand (``AnalysisSession.record_trace``
-uses it), so a trace recorded by a batch is never recorded again.
+worker that needs it; otherwise the worker records it and keeps it, sealed
+once the stages are done, and only the analysis comes back.
+:meth:`AnalysisPipeline.fetch_trace` hands a worker-held trace to the parent
+on demand (``AnalysisSession.record_trace`` uses it), so a trace recorded by
+a batch is never recorded again.
 
 A trace nobody holds yet records on the pool too when the pipeline's store
 is a :class:`~repro.serve.store.DiskTraceStore`
@@ -371,12 +372,15 @@ class AnalysisPipeline:
     def fetch_trace(self, workload, mask: Optional[int] = None) -> Optional[Trace]:
         """The trace a live pool worker recorded for ``workload``, or ``None``.
 
-        Batch workers keep the traces they record.  When a live worker
-        reported holding ``workload``'s fingerprint and its trace covers
-        ``mask``, the trace is fetched from that worker and put into the
-        parent store.  Without a pool, or when no worker holds a covering
-        trace (workers running :meth:`record_on_pool` tasks keep none), this
-        returns ``None`` and the caller records.
+        Batch workers keep the traces they record, sealed after the
+        stages (:meth:`Trace.seal`).  When a live worker reported holding
+        ``workload``'s fingerprint and its trace covers ``mask``, the
+        sealed trace is fetched from that worker as is and put into the
+        parent store, where replays inflate it slice by slice; the
+        worker's store counted its recording, so this counts none.  Without a
+        pool, or when no worker holds a covering trace (workers running
+        :meth:`record_on_pool` tasks keep none), this returns ``None`` and
+        the caller records.
         """
         pool = self._pool
         if pool is None:
@@ -400,7 +404,7 @@ class AnalysisPipeline:
             logger.warning("could not fetch a trace from the worker pool (%s)", exc)
             return None
         if trace is not None:
-            self.trace_store.put(trace)
+            self.trace_store.put(trace, recorded=False)
         return trace
 
     def record_on_pool(self, workload, mask: Optional[int] = None):

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..analysis.amdahl import bound_for_application
 from ..analysis.casestudy import ApplicationAnalysis, pipeline_trace_mask
+from ..jsvm.hooks import Trace
 
 StageState = Dict[str, Any]
 
@@ -179,8 +180,16 @@ def run_stages(
     stages: Optional[Tuple[Stage, ...]] = None,
     state: Optional[StageState] = None,
 ) -> ApplicationAnalysis:
-    """Run the stage schedule for one workload and return its analysis."""
+    """Run the stage schedule for one workload and return its analysis.
+
+    The stages are the batch's replays of the recorded trace; after the
+    last one a resident trace is sealed (:meth:`Trace.seal`), so a batch
+    keeps its recordings at rest as deflated slices, not tuple lists.
+    """
     state = state if state is not None else {}
     for stage in stages if stages is not None else default_stages():
         stage.run(runner, workload, state)
+    trace = state.get("trace")
+    if isinstance(trace, Trace):
+        trace.seal()
     return state["analysis"]

@@ -119,7 +119,12 @@ class PoolTask:
 # worker side
 # ---------------------------------------------------------------------------
 class PoolWorkerContext:
-    """Per-worker persistent caches, rebuilt only when the worker respawns."""
+    """Per-worker persistent caches, rebuilt only when the worker respawns.
+
+    The trace store holds what the worker's tasks left: batch recordings,
+    sealed after their stages (:func:`~repro.engine.stages.run_stages`), and
+    segment sources attached by reference; never a tuple list at rest.
+    """
 
     def __init__(self) -> None:
         self.bytecode_cache = BytecodeCache()
@@ -212,9 +217,11 @@ def resolve_workload(name: str):
 def fetch_trace_task(context: PoolWorkerContext, heavy, fingerprint: str, mask: int):
     """Pool task: hand over a trace this worker holds (``None`` if it has none).
 
-    Always a :class:`~repro.jsvm.hooks.Trace`: a source attached from a
-    segment reference holds an mmap, which cannot cross the pipe, so it is
-    loaded here.
+    Always a :class:`~repro.jsvm.hooks.Trace`.  One the worker recorded in a
+    batch ships as it is kept, sealed (:meth:`~repro.jsvm.hooks.Trace.seal`):
+    the pipe carries its deflated slices and cached digest.  A source
+    attached from a segment reference holds an mmap, which cannot cross the
+    pipe, so it is loaded here.
     """
     from ..jsvm.hooks import Trace
 

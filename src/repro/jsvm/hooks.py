@@ -68,6 +68,7 @@ import io
 import json
 import logging
 import marshal
+import operator
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -527,6 +528,22 @@ _OBJ_OPAQUE = 3  #: defensive: a non-JSObject event payload
 #: digest definition — changing it changes every digest.
 _DIGEST_SLICE_EVENTS = 1 << 16
 
+#: zlib level of a sealed trace's slices (:meth:`Trace.seal`).  Level 1
+#: keeps most of the size win of the default level at a fraction of its
+#: cost; every read inflates whatever level wrote the slice.
+_SEAL_LEVEL = 1
+
+
+def _marshal_slices(events) -> Iterator[tuple]:
+    """``(event count, marshal v2 bytes)`` per digest slice of ``events``.
+
+    The one byte stream :meth:`Trace.digest` hashes and :meth:`Trace.seal`
+    deflates.
+    """
+    for start in range(0, len(events), _DIGEST_SLICE_EVENTS):
+        batch = events[start : start + _DIGEST_SLICE_EVENTS]
+        yield len(batch), marshal.dumps(tuple(map(tuple, batch)), 2)
+
 
 class TraceError(Exception):
     """Base class for trace-layer failures."""
@@ -548,6 +565,74 @@ class TraceMismatchError(TraceError):
     """The trace belongs to a different workload (fingerprint mismatch)."""
 
 
+class _SealedEvents:
+    """The event records of a sealed :class:`Trace`: its digest slices,
+    each deflated, in place of the tuple list.
+
+    It counts, iterates and compares like the list it replaced, and inflates
+    one slice at a time, so the records are never all resident at once.
+    """
+
+    __slots__ = ("slices", "count")
+
+    def __init__(self, slices: tuple, count: int) -> None:
+        #: ``(event count, marshal length, deflated bytes)`` per slice.
+        self.slices = slices
+        self.count = count
+
+    def raw_slices(self) -> Iterator[bytes]:
+        """Each slice's marshal bytes, inflated within its recorded length."""
+        from .tracecodec import _inflate
+
+        for index, (_count, raw_length, blob) in enumerate(self.slices):
+            raw = _inflate(blob, raw_length, f"sealed event slice {index}")
+            if len(raw) != raw_length:
+                raise TraceFormatError(
+                    f"sealed event slice {index} inflates to {len(raw)} bytes, "
+                    f"not {raw_length}"
+                )
+            yield raw
+
+    def batches(self) -> Iterator[tuple]:
+        """The records slice by slice (one empty batch for no events)."""
+        if not self.slices:
+            yield ()
+            return
+        for index, raw in enumerate(self.raw_slices()):
+            try:
+                batch = marshal.loads(raw)
+            except (EOFError, ValueError, TypeError) as exc:
+                raise TraceFormatError(f"corrupt sealed event slice {index}: {exc}") from exc
+            if type(batch) is not tuple or len(batch) != self.slices[index][0]:
+                raise TraceFormatError(
+                    f"sealed event slice {index} does not hold "
+                    f"{self.slices[index][0]} records"
+                )
+            yield batch
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple]:
+        for batch in self.batches():
+            yield from batch
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, _SealedEvents) and other.slices == self.slices:
+            return True
+        try:
+            if len(other) != self.count:
+                return False
+        except TypeError:
+            return NotImplemented
+        return all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{self.count} sealed events in {len(self.slices)} slices>"
+
+
 @dataclass
 class Trace:
     """One recorded event stream plus its intern tables and provenance.
@@ -556,6 +641,11 @@ class Trace:
     a trace can be pickled to a fan-out worker, written to disk
     (:func:`~repro.jsvm.tracecodec.write_binary_trace`), or shipped to
     another machine, and replayed there without the guest program.
+
+    A recording holds its events as a tuple list, which replays fastest.  A
+    trace kept at rest after its replays is sealed (:meth:`seal`): the list
+    gives way to the deflated digest slices, which ``events`` then counts
+    and iterates in the same order, one slice resident at a time.
     """
 
     #: Reported by ``trace info`` for legacy single-JSON files (unannotated:
@@ -583,7 +673,8 @@ class Trace:
     #: recording was destined for tracers that never override them).  Replay
     #: refuses a tracer overriding any of these.
     dropped: tuple = ()
-    #: The flat event records, in emission order.
+    #: The flat event records, in emission order (a tuple list until
+    #: :meth:`seal`).
     events: List[tuple] = field(default_factory=list)
 
     # ------------------------------------------------------------- identity
@@ -607,6 +698,19 @@ class Trace:
         cached = getattr(self, "_digest_cache", None)
         if cached is not None:
             return cached
+        hasher = self._table_hasher()
+        events = self.events
+        if isinstance(events, _SealedEvents):
+            for raw in events.raw_slices():
+                hasher.update(raw)
+        else:
+            for _count, raw in _marshal_slices(events):
+                hasher.update(raw)
+        self._digest_cache = hasher.hexdigest()
+        return self._digest_cache
+
+    def _table_hasher(self):
+        """A SHA-256 fed the digest's header and table parts."""
         hasher = hashlib.sha256()
         header = (
             self.version,
@@ -623,12 +727,31 @@ class Trace:
         hasher.update(marshal.dumps(tuple(self.strings), 2))
         hasher.update(marshal.dumps(tuple(map(tuple, self.nodes)), 2))
         hasher.update(marshal.dumps(tuple(map(tuple, self.objects)), 2))
+        return hasher
+
+    def seal(self) -> None:
+        """Keep the events as their deflated digest slices from now on.
+
+        Each :data:`_DIGEST_SLICE_EVENTS` slice's marshal bytes — the bytes
+        :meth:`digest` hashes — are deflated at :data:`_SEAL_LEVEL`, and the
+        digest is computed in the same pass unless already known.  The
+        records read back identical (replay, :meth:`digest`, the binary
+        writer, pickling); only the tuple list is gone.  Call it once the
+        trace's hot replays are done: each later replay inflates every
+        slice again.  Idempotent.
+        """
         events = self.events
-        for start in range(0, len(events), _DIGEST_SLICE_EVENTS):
-            batch = events[start : start + _DIGEST_SLICE_EVENTS]
-            hasher.update(marshal.dumps(tuple(map(tuple, batch)), 2))
-        self._digest_cache = hasher.hexdigest()
-        return self._digest_cache
+        if isinstance(events, _SealedEvents):
+            return
+        hasher = None if getattr(self, "_digest_cache", None) else self._table_hasher()
+        slices = []
+        for count, raw in _marshal_slices(events):
+            if hasher is not None:
+                hasher.update(raw)
+            slices.append((count, len(raw), zlib.compress(raw, _SEAL_LEVEL)))
+        if hasher is not None:
+            self._digest_cache = hasher.hexdigest()
+        self.events = _SealedEvents(tuple(slices), len(events))
 
     def legacy_digest(self) -> str:
         """The ``repr``-join content hash that v1 files and container-2
@@ -753,11 +876,16 @@ class Trace:
 
         The tables and the event list are resident already, so the whole
         trace is one chunk: :class:`TraceReplayer` walks a resident trace
-        through the same loop as a chunked file source.
+        through the same loop as a chunked file source.  A sealed trace
+        yields one chunk per slice, the first carrying the whole tables.
         """
-        yield TraceChunk(
-            0, self.strings, self.nodes, self.objects, self.env_count, self.events
-        )
+        events = self.events
+        batches = events.batches() if isinstance(events, _SealedEvents) else (events,)
+        for index, batch in enumerate(batches):
+            if index == 0:
+                yield TraceChunk(0, self.strings, self.nodes, self.objects, self.env_count, batch)
+            else:
+                yield TraceChunk(index, [], [], [], 0, batch)
 
 
 def _validate_records(
@@ -1482,7 +1610,8 @@ class TraceReplayer:
 
     Every replay is one loop over the source's ``chunks()``: a resident
     :class:`Trace` yields its tables and whole event list as a single chunk,
-    a chunked file source yields bounded slices with intern-table deltas.
+    a sealed one inflates one slice per chunk, and a chunked file source
+    yields bounded slices with intern-table deltas.
     A binary source's columnar chunks hand over only the records of the
     subscribed opcodes (:meth:`~repro.jsvm.tracecodec.ColumnarChunk.records`),
     decoding no other group, so a cheap-mode replay from a source at rest
@@ -1500,10 +1629,10 @@ class TraceReplayer:
     """
 
     def __init__(self, trace: Any) -> None:
-        """``trace`` is any chunk source: a resident :class:`Trace` (one
-        chunk) or an object with the header attributes plus a re-iterable
-        ``chunks()`` (see :class:`TraceFileSource`), which replays in
-        memory bounded by its chunk size.
+        """``trace`` is any chunk source: a :class:`Trace` (one chunk, or
+        one per slice once sealed) or an object with the header attributes
+        plus a re-iterable ``chunks()`` (see :class:`TraceFileSource`),
+        which replays in memory bounded by its chunk size.
         """
         self.trace = trace
         self.clock = ReplayClock(trace.start_ms)

@@ -946,17 +946,16 @@ def _chunk_deltas(trace, chunk_events: int):
     """
     from .hooks import Trace
 
-    events = trace.events
     total_strings = len(trace.strings)
     total_nodes = len(trace.nodes)
     total_objects = len(trace.objects)
     total_envs = trace.env_count
     layouts = Trace._RECORD_LAYOUT
-    starts = list(range(0, len(events), chunk_events)) or [0]
-    chunk_count = len(starts)
+    chunk_count = max(1, -(-len(trace.events) // chunk_events))
+    records = iter(trace.events)
     sent_strings = sent_nodes = sent_objects = sent_envs = 0
-    for chunk_index, start in enumerate(starts):
-        batch = events[start : start + chunk_events]
+    for chunk_index in range(chunk_count):
+        batch = list(islice(records, chunk_events))
         if chunk_index == chunk_count - 1:
             need_strings, need_nodes = total_strings, total_nodes
             need_objects, need_envs = total_objects, total_envs

@@ -226,7 +226,7 @@ class DiskTraceStore(TraceStore):
                 # failure above) leaves no orphan behind.
                 Path(tmp).unlink(missing_ok=True)
 
-    def put(self, trace: Trace):
+    def put(self, trace: Trace, recorded: bool = True):
         """Store and persist ``trace``, evicting covered segments on disk too.
 
         :meth:`stage` then :meth:`_publish`: the segment write happens
@@ -252,7 +252,7 @@ class DiskTraceStore(TraceStore):
             # A covering put evicted the row meanwhile; the recording is
             # still good for this store's memory tier.
             served = trace
-        return super().put(served)
+        return super().put(served, recorded)
 
     def publish(self, tmp, row: dict):
         """Install a segment another process staged, and serve it.

@@ -183,7 +183,9 @@ class TestCanvasParity:
     """Pixel semantics pinned to the values of the former numpy buffer.
 
     Every expected value below was computed once by the numpy-backed
-    canvas (``uint8`` clip-and-cast, ``np.resize``, ndarray slicing).
+    canvas (``uint8`` clip-and-cast, ``np.resize``, ndarray slicing), except
+    the ``negative-end`` and ``above`` reads: ndarray slicing wrapped their
+    negative ends to the far edge, and the canvas now clips them to nothing.
     """
 
     @pytest.mark.parametrize(
@@ -214,11 +216,10 @@ class TestCanvasParity:
         [
             ((-1, -1, 3, 3), (2.0, 2.0, [0, 7, 14, 21, 28, 35, 42, 49,
                                          24, 31, 38, 45, 52, 59, 66, 73])),
-            # x + w = -7 is a slice end counted from the right edge
-            ((-10, 0, 3, 2), (3.0, 2.0, [0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 77,
-                                         24, 31, 38, 45, 52, 59, 66, 73, 80, 87, 94, 101])),
-            ((0, -6, 2, 4), (2.0, 2.0, [0, 7, 14, 21, 28, 35, 42, 49,
-                                        24, 31, 38, 45, 52, 59, 66, 73])),
+            # an end left of the canvas (x + w = -7) reads no column
+            ((-10, 0, 3, 2), (0.0, 2.0, [])),
+            # an end above the canvas (y + h = -2) reads no row
+            ((0, -6, 2, 4), (2.0, 0.0, [])),
             ((8, 2, 5, 5), (2.0, 2.0, [16, 23, 30, 37, 44, 51, 58, 65,
                                        40, 47, 54, 61, 68, 75, 82, 89])),
             ((11, 0, 2, 2), (0.0, 2.0, [])),
@@ -232,6 +233,9 @@ class TestCanvasParity:
     def test_get_image_data_rectangles(self, rect, expected):
         session = _gradient_session()
         assert _read(session, "ctx.getImageData(%d, %d, %d, %d)" % rect) == expected
+        # The read counts exactly the pixels it returned.
+        host = session.document.get_element_by_id("c").host_canvas
+        assert host.log.pixels_read == expected[0] * expected[1]
 
     @pytest.mark.parametrize(
         "at, changed, written",

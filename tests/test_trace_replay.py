@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,7 @@ from repro.jsvm.hooks import (
     TraceMaskError,
     TraceMismatchError,
     TraceVersionError,
+    _SealedEvents,
     open_trace_source,
 )
 from repro.jsvm.tracecodec import write_binary_trace
@@ -159,6 +161,126 @@ class TestSchemaRoundTrip:
         for name in ("loop_enter", "loop_exit", "statement", "prop_read", "var_write"):
             assert counts.get(name, 0) > 0
         assert trace.covers(pipeline_trace_mask())
+
+
+def _stored_trace(session, name):
+    """The resident union-mask trace ``recorded_session`` holds for ``name``."""
+    fingerprint = workload_fingerprint(get_workload(name))
+    trace = session.trace_store.find(fingerprint, pipeline_trace_mask())
+    assert trace is not None and not isinstance(trace.events, _SealedEvents)
+    return trace
+
+
+class TestSealedTraces:
+    """A sealed trace reads back exactly the records its tuple list held.
+
+    Each test seals a copy, so the shared traces stay resident and the two
+    forms are compared on the same recording.
+    """
+
+    @pytest.fixture(scope="class")
+    def pairs(self, recorded_session):
+        session, _ = recorded_session
+        pairs = {}
+        for name in workload_names():
+            trace = _stored_trace(session, name)
+            sealed = replace(trace)  # no cached digest: seal() derives it
+            sealed.seal()
+            pairs[name] = (trace, sealed)
+        return pairs
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_seal_keeps_digest_and_records(self, pairs, name):
+        trace, sealed = pairs[name]
+        assert isinstance(sealed.events, _SealedEvents)
+        assert not isinstance(trace.events, _SealedEvents)
+        assert sealed.digest() == trace.digest()
+        assert replace(sealed).digest() == trace.digest()  # re-derived from slices
+        assert len(sealed.events) == len(trace.events) > 0
+        assert sealed.event_counts() == trace.event_counts()
+        sealed.validate_events()
+        assert sealed == trace
+        sealed.seal()  # idempotent
+        assert sealed.digest() == trace.digest()
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_replay_payloads_are_byte_identical(self, recorded_session, pairs, name):
+        session, _ = recorded_session
+        trace, sealed = pairs[name]
+        resident = session.replay_trace(trace, COMPOSED).to_dict()
+        replayed = session.replay_trace(sealed, COMPOSED).to_dict()
+        for mode in (LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE):
+            assert mode in replayed["payloads"]
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(resident, sort_keys=True)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_binary_writer_writes_identical_bytes(self, pairs, name, tmp_path):
+        trace, sealed = pairs[name]
+        write_binary_trace(trace, str(tmp_path / "resident.bin"))
+        write_binary_trace(sealed, str(tmp_path / "sealed.bin"))
+        assert (tmp_path / "sealed.bin").read_bytes() == (
+            tmp_path / "resident.bin"
+        ).read_bytes()
+
+    def test_binary_writer_rebatches_across_slices(self, pairs, tmp_path):
+        # 50,000-event chunks straddle the 65,536-event slices.
+        trace, sealed = pairs["Normal Mapping"]
+        assert len(sealed.events) > 2 * 65536
+        for label, source in (("resident", trace), ("sealed", sealed)):
+            write_binary_trace(source, str(tmp_path / f"{label}.bin"), chunk_events=50_000)
+        assert (tmp_path / "sealed.bin").read_bytes() == (
+            tmp_path / "resident.bin"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_pickle_round_trip_stays_sealed(self, pairs, name):
+        trace, sealed = pairs[name]
+        loaded = pickle.loads(pickle.dumps(sealed))
+        assert isinstance(loaded.events, _SealedEvents)
+        assert loaded == sealed and loaded == trace
+        assert loaded.digest() == trace.digest()
+        # The sealed form is what crosses the pipe: smaller than the list.
+        assert len(pickle.dumps(sealed)) < len(pickle.dumps(trace))
+
+    def test_empty_trace_seals_and_writes(self, tmp_path):
+        empty = Trace(mask=EV_LOOP, workload="w", fingerprint="f")
+        sealed = replace(empty)
+        sealed.seal()
+        assert sealed.digest() == empty.digest()
+        assert len(sealed.events) == 0 and list(sealed.events) == []
+        assert [chunk.events for chunk in sealed.chunks()] == [()]
+        write_binary_trace(empty, str(tmp_path / "resident.bin"))
+        write_binary_trace(sealed, str(tmp_path / "sealed.bin"))
+        assert (tmp_path / "sealed.bin").read_bytes() == (
+            tmp_path / "resident.bin"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "misplaced", "miscounted"])
+    def test_corrupt_slice_raises(self, recorded_session, pairs, damage):
+        session, _ = recorded_session
+        _trace, sealed = pairs["Normal Mapping"]
+        slices = list(sealed.events.slices)
+        count, raw_length, blob = slices[1]
+        if damage == "flip":
+            middle = len(blob) // 2
+            blob = blob[:middle] + bytes([blob[middle] ^ 0xFF]) + blob[middle + 1 :]
+            slices[1] = (count, raw_length, blob)
+        elif damage == "truncate":
+            slices[1] = (count, raw_length, blob[: len(blob) // 2])
+        elif damage == "misplaced":
+            # The short last slice's intact stream under slice 1's lengths.
+            slices[1] = (count, raw_length, slices[-1][2])
+        else:
+            slices[1] = (count + 1, raw_length, blob)
+        broken = replace(sealed)
+        broken.events = type(sealed.events)(tuple(slices), len(sealed.events))
+        with pytest.raises(TraceFormatError):
+            list(broken.events)
+        with pytest.raises(TraceFormatError):
+            session.replay_trace(broken, RunSpec.lightweight())
+        if damage != "miscounted":  # the digest reads bytes, not records
+            with pytest.raises(TraceFormatError):
+                broken.digest()
 
 
 def _v1_document(path):

@@ -9,6 +9,7 @@ parent fetches one on demand, and a second batch performs zero guest
 executions).
 """
 
+import json
 import os
 import threading
 import time
@@ -19,7 +20,8 @@ from repro.analysis.casestudy import CaseStudyRunner
 from repro.analysis.tables import build_tables
 from repro.engine import AnalysisPipeline
 from repro.analysis.casestudy import pipeline_trace_mask
-from repro.api import AnalysisSession
+from repro.api import AnalysisSession, RunSpec
+from repro.api.spec import DEPENDENCE, GECKO, LIGHTWEIGHT, LOOP_PROFILE
 from repro.engine.cache import workload_fingerprint
 from repro.engine.workerpool import (
     PoolTask,
@@ -30,7 +32,7 @@ from repro.engine.workerpool import (
     fetch_trace_task,
     run_inherited,
 )
-from repro.jsvm.hooks import Trace
+from repro.jsvm.hooks import Trace, _SealedEvents
 from repro.serve.store import DiskTraceStore
 from repro.workloads import get_workload
 from repro.workloads.base import REGISTRY, Workload
@@ -337,7 +339,8 @@ class TestPipelineOnPool:
                 trace = session.record_trace(workload)
                 assert trace.fingerprint == workload_fingerprint(workload)
                 assert pipeline.trace_store.has(trace.fingerprint, mask)
-            assert pipeline.trace_store.puts == len(tiny_workloads)
+            # Fetched, not recorded: the parent store counts no recording.
+            assert pipeline.trace_store.puts == 0
 
     def test_second_pool_batch_performs_zero_guest_executions(
         self, tiny_workloads, monkeypatch
@@ -496,10 +499,51 @@ class TestPipelineOnPool:
             _forbid_recording(monkeypatch)
             trace = pipeline.fetch_trace(workload)
             assert trace is not None
-            assert pipeline.trace_store.puts == 1
-            # Second call serves the parent store; no new put, same trace.
+            # The worker recorded it: fetching counts no recording here.
+            assert pipeline.trace_store.puts == 0
+            assert pipeline.trace_store.has(
+                workload_fingerprint(workload), pipeline_trace_mask()
+            )
+            # Second call serves the parent store; same trace.
             again = pipeline.fetch_trace(workload)
             assert again is trace or again.digest() == trace.digest()
-            assert pipeline.trace_store.puts == 1
+            assert pipeline.trace_store.puts == 0
         finally:
             pipeline.close()
+
+
+class TestBatchTracesStaySealed:
+    """A batch seals the traces it keeps, and later replays share them."""
+
+    APPS = ["MyScript", "Harmony"]
+
+    def test_replays_after_a_batch_share_its_sealed_traces(self, monkeypatch):
+        mask = pipeline_trace_mask()
+        workloads = [get_workload(name) for name in self.APPS]
+        recorded = {
+            workload.name: CaseStudyRunner().record_trace(workload).digest()
+            for workload in workloads
+        }
+        spec = RunSpec.composed(LIGHTWEIGHT, GECKO, LOOP_PROFILE, DEPENDENCE).replay()
+        replayed = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as patch, AnalysisSession(workers=workers) as session:
+                session.case_study(self.APPS)
+                store = session.trace_store
+                assert session.pipeline.pool_stats()["workers_alive"] == (workers - 1) * 2
+                puts = store.puts
+                _forbid_recording(patch)
+                # At width 2 the parent store is empty: each run fetches the
+                # trace a worker sealed, and neither width records or counts.
+                replayed[workers] = [
+                    json.dumps(session.run(name, spec).to_dict(), sort_keys=True)
+                    for name in self.APPS
+                ]
+                assert store.puts == puts
+                for workload in workloads:
+                    trace = store.find(workload_fingerprint(workload), mask)
+                    assert isinstance(trace.events, _SealedEvents)
+                    assert trace.digest() == recorded[workload.name]
+                    if workers == 2:
+                        assert session.pipeline.fetch_trace(workload) is trace
+        assert replayed[1] == replayed[2]
